@@ -315,11 +315,12 @@ type Engine struct {
 	queries map[stream.QueryID]*queryRT
 	order   []stream.QueryID
 
-	// pool recycles every batch in the deployment: sources and fragment
-	// emissions draw from it, and the engine releases batches after
-	// delivery (or drop). One pool spans all nodes because batches cross
-	// nodes — a batch released at its destination must be reusable by
-	// any source.
+	// pool is the deployment's root batch pool. It draws nothing itself:
+	// each node gets its own shard (AddNode), so nodes ticking on
+	// parallel workers take uncontended locks. A batch crossing nodes
+	// recycles into the shard of the node that drew it, whichever node
+	// releases it, and pool.Live() sums every shard — dead nodes' too —
+	// so leak accounting stays deployment-wide.
 	pool *stream.Pool
 
 	tick int64
@@ -421,8 +422,8 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Pool returns the deployment's shared batch pool (tests use it to
-// assert leak-freedom).
+// Pool returns the deployment's root batch pool, whose Live counts every
+// node's shard (tests use it to assert leak-freedom).
 func (e *Engine) Pool() *stream.Pool { return e.pool }
 
 // Config returns the engine configuration.
@@ -457,7 +458,7 @@ func (e *Engine) AddNode(capacityPerSec float64) stream.NodeID {
 		STW:            e.cfg.STW,
 		CapacityPerSec: capacityPerSec,
 		CostNoise:      e.cfg.CostNoise,
-		Pool:           e.pool,
+		Pool:           e.pool.NewShard(),
 		Seed:           e.rng.Int63(),
 	}, e.newShedder())
 	e.nodes = append(e.nodes, n)

@@ -1,9 +1,11 @@
 package federation
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/node"
 	"repro/internal/stream"
 )
 
@@ -322,5 +324,74 @@ func TestSharingPromotionKeepsResults(t *testing.T) {
 	}
 	if e.CurrentSIC(ids[2]) <= 0 {
 		t.Error("second subscriber lost results after promotion")
+	}
+}
+
+// teardownShapes are two-fragment time-window dashboards: each splits
+// into a partial-aggregate leaf under a merging root, so both fragments
+// dedup and a retract re-derives fan-out boundaries (SetSubEmit).
+var teardownShapes = []string{
+	"Select Avg(t.v) From Src [Range 2 sec Slide 250 ms]",
+	"Select Count(t.v) From Src [Range 2 sec Slide 250 ms]",
+}
+
+// TestSharingFullRandomTeardown retracts every dashboard of a deployment
+// whose shared instances carry several riders, in seeded random order,
+// at one and two workers. Random order retracts primaries while two or
+// more riders remain, so each promotion must re-point the other riders;
+// afterwards the federation must be back at its empty footprint with
+// every pooled batch released.
+func TestSharingFullRandomTeardown(t *testing.T) {
+	const nodes, queries = 6, 72
+	for _, workers := range []int{1, 2} {
+		cfg := Defaults()
+		cfg.SourceRate = 40
+		cfg.Workers = workers
+		cfg.Seed = 13
+		cfg.Sharing = SharingFull
+		e := NewEngine(cfg)
+		e.AddNodes(nodes, 1e8)
+		ids := make([]stream.QueryID, 0, queries)
+		for i := 0; i < queries; i++ {
+			// Dashboards agreeing in shape and residue share instances:
+			// 12 groups of 6.
+			placement := []stream.NodeID{stream.NodeID(i % nodes), stream.NodeID((i + 1) % nodes)}
+			q, err := e.SubmitCQL(teardownShapes[i%len(teardownShapes)], 2, 1, 0, placement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, q)
+		}
+		for i := 0; i < 20; i++ {
+			e.Step()
+		}
+		var inst, subs int
+		for ni := 0; ni < e.NumNodes(); ni++ {
+			ss := e.Node(stream.NodeID(ni)).StateSize()
+			inst += ss.SharedInstances
+			subs += ss.Subscriptions
+		}
+		if subs < 3*inst {
+			t.Fatalf("workers=%d: %d subscriptions over %d shared instances, want at least 3 riders each", workers, subs, inst)
+		}
+		for k, idx := range rand.New(rand.NewSource(7)).Perm(len(ids)) {
+			if !e.RemoveQuery(ids[idx]) {
+				t.Fatalf("workers=%d: query %d did not remove", workers, ids[idx])
+			}
+			if k%4 == 3 {
+				e.Step()
+			}
+		}
+		for i := 0; i < 40; i++ {
+			e.Step() // outlast link latency and any straggling updates
+		}
+		for ni := 0; ni < e.NumNodes(); ni++ {
+			if ss := e.Node(stream.NodeID(ni)).StateSize(); ss != (node.StateSize{}) {
+				t.Errorf("workers=%d: node %d retains state after full teardown: %+v", workers, ni, ss)
+			}
+		}
+		if live := e.Pool().Live(); live != 0 {
+			t.Errorf("workers=%d: %d pooled batches leaked after teardown", workers, live)
+		}
 	}
 }

@@ -70,10 +70,12 @@ type Config struct {
 	// InitialCapacity seeds the cost model before its first observation.
 	// Zero defaults to one interval's worth of CapacityPerSec.
 	InitialCapacity int
-	// Pool recycles the node's batches. Drivers that move batches between
-	// nodes (the federation engine) share one pool across nodes so a
-	// batch released at its destination is reusable anywhere; nil gives
-	// the node a private pool.
+	// Pool recycles the node's batches: sources, emissions and split
+	// views draw from it. A runtime that moves batches between nodes (the
+	// federation engine) passes each node a shard of one root pool
+	// (stream.Pool.NewShard): a batch released at its destination
+	// recycles into the shard it was drawn from, and the root's Live
+	// spans all nodes. nil gives the node a private pool.
 	Pool *stream.Pool
 	// Seed drives the node's noise generator.
 	Seed int64
@@ -516,6 +518,9 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 		}
 		kept = append(kept, src)
 	}
+	// Drop the compacted tail's pointers, or departed sources — and the
+	// generators they own — stay reachable through the backing array.
+	clear(n.srcs[len(kept):])
 	n.srcs = kept
 	ib := n.ib[:0]
 	tuples := 0
@@ -531,6 +536,10 @@ func (n *Node) RemoveFragment(q stream.QueryID, f stream.FragID) {
 	n.ibTuples = tuples
 	n.dropQueryRef(q)
 	n.rebuildAccts()
+	if len(n.frags) == 0 {
+		// Nothing left to draw batches: free the idle pool's storage.
+		n.pool.Trim()
+	}
 }
 
 // dropQueryRef releases one fragment-or-subscription reference on q,
@@ -579,6 +588,9 @@ func (n *Node) promote(key fragKey, inst *fragInstance) {
 	inst.subs = inst.subs[1:]
 	newKey := fragKey{sub.q, sub.f}
 	delete(n.subOf, newKey)
+	for _, s := range inst.subs {
+		n.subOf[fragKey{s.q, s.f}] = newKey
+	}
 	inst.q, inst.f = sub.q, sub.f
 	inst.downstream, inst.downstreamPort = sub.downstream, sub.downstreamPort
 	delete(n.frags, key)

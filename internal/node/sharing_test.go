@@ -154,3 +154,56 @@ func TestSharedSubscriberRemovalLeavesPrimary(t *testing.T) {
 		t.Fatalf("node retains state after full removal: %+v", ss)
 	}
 }
+
+// TestSharedPromotionRepointsRemainingRiders: after the primary departs
+// with several riders attached, every remaining rider must address the
+// promoted instance. Flipping a rider's emission (SetSubEmit) or
+// retracting a rider that was not promoted both look the rider up by
+// its subscription, so a stale entry crashes the node.
+func TestSharedPromotionRepointsRemainingRiders(t *testing.T) {
+	n, router := sharedAggNode(t, 3)
+	tick := 0
+	advance := func(ticks int) {
+		for ; ticks > 0; ticks-- {
+			n.Tick(stream.Time(tick * 250))
+			n.TakeOutbox().Replay(n.ID(), router)
+			tick++
+		}
+	}
+	flip := func(qs ...stream.QueryID) {
+		for _, q := range qs {
+			n.SetSubEmit(q, 0, false)
+			n.SetSubEmit(q, 0, true)
+		}
+	}
+	advance(10)
+	// Primary 7 leaves: 20 is promoted, 21 and 22 stay riders.
+	n.RemoveFragment(7, 0)
+	flip(21, 22)
+	advance(5)
+	if ss := n.StateSize(); ss.Fragments != 1 || ss.Subscriptions != 2 || ss.SharedInstances != 1 {
+		t.Fatalf("after primary retract: %+v, want 1 fragment with 2 subscriptions", ss)
+	}
+	// A rider that was never promoted leaves.
+	n.RemoveFragment(22, 0)
+	flip(21)
+	advance(5)
+	// The promoted primary leaves: 21 is promoted in turn.
+	before := len(router.results[21])
+	n.RemoveFragment(20, 0)
+	flip(21)
+	advance(5)
+	if len(router.results[21]) <= before {
+		t.Error("last rider stopped producing after its promotion")
+	}
+	if ss := n.StateSize(); ss.Fragments != 1 || ss.Subscriptions != 0 || ss.SharedInstances != 1 {
+		t.Fatalf("after second promotion: %+v, want 1 fragment and no subscriptions", ss)
+	}
+	n.RemoveFragment(21, 0)
+	if ss := n.StateSize(); ss != (StateSize{}) {
+		t.Fatalf("node retains state after full retract: %+v", ss)
+	}
+	if live := n.Pool().Live(); live != 0 {
+		t.Fatalf("pool live after full retract: %d", live)
+	}
+}

@@ -114,6 +114,13 @@ type BurstConfig struct {
 var DefaultBurst = BurstConfig{Prob: 0.1, Factor: 10}
 
 // Source generates timestamped tuple batches at a configured rate.
+//
+// The burst generator is seeded lazily: New records the seed and the
+// first burst decision builds the RNG, so a source whose Burst stays nil
+// never allocates one (a math/rand source is ~4.9 KB, which adds up over
+// tens of thousands of steady sources). Setting Burst after New — as
+// the engine does — yields exactly the sequence an eagerly seeded RNG
+// would.
 type Source struct {
 	ID    stream.SourceID
 	Query stream.QueryID
@@ -130,8 +137,9 @@ type Source struct {
 	// Burst, when non-nil, enables bursty emission (§7.4).
 	Burst *BurstConfig
 
-	rng        *rand.Rand
-	carry      float64 // fractional tuples carried between intervals
+	seed       int64
+	rng        *rand.Rand // burst decisions; nil until the first one
+	carry      float64    // fractional tuples carried between intervals
 	burstUntil stream.Time
 	burstNext  stream.Time // next burst decision boundary
 	bursting   bool
@@ -147,7 +155,7 @@ func New(id stream.SourceID, q stream.QueryID, f stream.FragID, port int,
 	return &Source{
 		ID: id, Query: q, Frag: f, Port: port,
 		Rate: rate, BatchesPerSec: batchesPerSec, Arity: arity,
-		Gen: gen, rng: rand.New(rand.NewSource(seed)),
+		Gen: gen, seed: seed,
 	}
 }
 
@@ -156,6 +164,9 @@ func New(id stream.SourceID, q stream.QueryID, f stream.FragID, port int,
 func (s *Source) rateAt(t stream.Time) float64 {
 	if s.Burst == nil {
 		return s.Rate
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
 	}
 	for t >= s.burstNext {
 		s.bursting = s.rng.Float64() < s.Burst.Prob

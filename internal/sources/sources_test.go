@@ -207,3 +207,58 @@ func TestInvalidSourceConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestBurstLazySeedMatchesEagerReference: the burst generator is built
+// on the first burst decision, from the seed New recorded. A source whose
+// Burst is set after New — as the engine does — must emit exactly what a
+// reference seeded with rand.New(rand.NewSource(seed)) up front emits.
+func TestBurstLazySeedMatchesEagerReference(t *testing.T) {
+	const seed = 23
+	mk := func(eager bool) []*stream.Batch {
+		gen := NewValueGen(Uniform, rand.New(rand.NewSource(5)))
+		s := New(1, 1, 0, 0, 100, 4, 1, gen, seed)
+		if eager {
+			s.rng = rand.New(rand.NewSource(seed))
+		}
+		s.Burst = &BurstConfig{Prob: 0.3, Factor: 10}
+		return emitAll(s, 30*stream.Second, 250*stream.Millisecond)
+	}
+	lazy, ref := mk(false), mk(true)
+	if len(lazy) != len(ref) {
+		t.Fatalf("batch counts differ: lazy %d, reference %d", len(lazy), len(ref))
+	}
+	maxLen := 0
+	for i := range ref {
+		if lazy[i].TS != ref[i].TS || lazy[i].Len() != ref[i].Len() {
+			t.Fatalf("batch %d: lazy (ts %d, %d tuples), reference (ts %d, %d tuples)",
+				i, lazy[i].TS, lazy[i].Len(), ref[i].TS, ref[i].Len())
+		}
+		for j := range ref[i].Tuples {
+			if lazy[i].Tuples[j].TS != ref[i].Tuples[j].TS || lazy[i].Tuples[j].V[0] != ref[i].Tuples[j].V[0] {
+				t.Fatalf("batch %d tuple %d differs", i, j)
+			}
+		}
+		maxLen = max(maxLen, ref[i].Len())
+	}
+	if maxLen < 100 {
+		t.Fatalf("largest batch %d tuples: no burst fired, the comparison proves nothing", maxLen)
+	}
+}
+
+// TestSteadySourceBuildsNoRNG: a source without Burst never seeds a burst
+// generator — New allocates the Source alone, and emitting leaves the
+// generator unbuilt.
+func TestSteadySourceBuildsNoRNG(t *testing.T) {
+	gen := GenFunc(func(_ stream.Time, v []float64) { v[0] = 1 })
+	var s *Source
+	allocs := testing.AllocsPerRun(100, func() {
+		s = New(1, 1, 0, 0, 100, 4, 1, gen, 7)
+	})
+	if allocs > 1 {
+		t.Errorf("New allocates %.0f objects, want 1 (the Source; no burst RNG)", allocs)
+	}
+	emitAll(s, 5*stream.Second, 250*stream.Millisecond)
+	if s.rng != nil {
+		t.Error("steady source built a burst RNG while emitting")
+	}
+}

@@ -37,12 +37,21 @@ import (
 // silently cross-wire two queries' payloads, which is strictly worse
 // than crashing. Live() exposes the outstanding-batch count so tests can
 // assert leak-freedom.
+//
+// Shards (NewShard) split one logical pool into per-owner free lists so
+// concurrent owners — the engine's nodes ticking on parallel workers —
+// do not serialise on one mutex. A batch always recycles into the shard
+// it was drawn from, whichever goroutine releases it; the parent's Live
+// counts every shard's outstanding batches too.
 type Pool struct {
 	mu      sync.Mutex
 	headers []*Batch
 	tuples  [numClasses][][]Tuple
 	slabs   [numClasses][][]float64
 	live    atomic.Int64
+	// shards lists the child pools NewShard created. Copy-on-write
+	// under mu, read lock-free by Live, so Live never nests pool locks.
+	shards atomic.Pointer[[]*Pool]
 }
 
 // classSizes are the free-list capacity classes, shared by tuple slices
@@ -67,9 +76,47 @@ func classOf(n int) int {
 // NewPool builds an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Live reports the number of batches drawn from the pool and not yet
-// released — the leak detector tests assert against.
-func (p *Pool) Live() int64 { return p.live.Load() }
+// NewShard returns a child pool with free lists and a lock of its own.
+// Batches drawn from the shard recycle into it; its outstanding batches
+// count toward the parent's Live for as long as the parent exists.
+func (p *Pool) NewShard() *Pool {
+	s := &Pool{}
+	p.mu.Lock()
+	var shards []*Pool
+	if old := p.shards.Load(); old != nil {
+		shards = append(shards, *old...)
+	}
+	shards = append(shards, s)
+	p.shards.Store(&shards)
+	p.mu.Unlock()
+	return s
+}
+
+// Trim drops the pool's free lists, handing their storage to the garbage
+// collector; outstanding batches still recycle here when released. A
+// pool keeps storage sized for its busiest moment, so owners trim a
+// shard whose owner goes idle (a node left hosting nothing) rather than
+// pin that storage for the rest of the run.
+func (p *Pool) Trim() {
+	p.mu.Lock()
+	p.headers = nil
+	p.tuples = [numClasses][][]Tuple{}
+	p.slabs = [numClasses][][]float64{}
+	p.mu.Unlock()
+}
+
+// Live reports the number of batches drawn from the pool and its shards
+// and not yet released — the leak detector tests assert against. The sum
+// is exact whenever no batch is being drawn or released concurrently.
+func (p *Pool) Live() int64 {
+	n := p.live.Load()
+	if shards := p.shards.Load(); shards != nil {
+		for _, s := range *shards {
+			n += s.Live()
+		}
+	}
+	return n
+}
 
 // Get returns a batch of n tuples with arity payload fields each, drawn
 // from the free lists when possible. Tuples are zeroed and their V slices

@@ -159,8 +159,8 @@ func TestPoolLiveAccountingProperty(t *testing.T) {
 }
 
 // TestPoolConcurrentGetRelease hammers one pool from many goroutines —
-// the engine's parallel compute phase shares a pool across nodes — and
-// relies on -race to catch unsynchronised free-list access.
+// any worker may release a batch into the shard of the node that drew
+// it — and relies on -race to catch unsynchronised free-list access.
 func TestPoolConcurrentGetRelease(t *testing.T) {
 	p := NewPool()
 	var wg sync.WaitGroup
@@ -316,5 +316,145 @@ func TestPoolOversizeRequestsStillWork(t *testing.T) {
 	b.Release() // storage dropped (no class), header recycled, no panic
 	if p.Live() != 0 {
 		t.Fatalf("live: %d", p.Live())
+	}
+}
+
+// TestPoolShardLiveSumsParentAndShards: a parent's Live counts its own
+// outstanding batches plus every shard's, shards of shards included,
+// and each shard's Live counts only its own.
+func TestPoolShardLiveSumsParentAndShards(t *testing.T) {
+	root := NewPool()
+	a, b := root.NewShard(), root.NewShard()
+	aa := a.NewShard()
+	held := []*Batch{
+		root.Get(1, 0, 0, 0, 4, 1),
+		a.Get(2, 0, 0, 0, 4, 1),
+		a.Get(3, 0, 0, 0, 4, 1),
+		b.GetView(4, 0, 0, 0, nil),
+		aa.Get(5, 0, 0, 0, 4, 1),
+	}
+	if got := root.Live(); got != 5 {
+		t.Fatalf("root live %d, want 5", got)
+	}
+	if got := a.Live(); got != 3 {
+		t.Fatalf("shard a live %d, want 3 (its own 2 plus its shard's 1)", got)
+	}
+	if got := b.Live(); got != 1 {
+		t.Fatalf("shard b live %d, want 1", got)
+	}
+	for i, h := range held {
+		h.Release()
+		if got, want := root.Live(), int64(len(held)-i-1); got != want {
+			t.Fatalf("after %d releases: root live %d, want %d", i+1, got, want)
+		}
+	}
+}
+
+// TestPoolShardCrossGoroutineRelease: batches drawn from shard A are
+// released on another goroutine — which draws from shard B — while A
+// keeps drawing, the engine's pattern when a batch crosses nodes. Each
+// batch recycles into the shard it came from; -race checks the free
+// lists stay synchronised.
+func TestPoolShardCrossGoroutineRelease(t *testing.T) {
+	root := NewPool()
+	a, b := root.NewShard(), root.NewShard()
+	handoff := make(chan *Batch, 16)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(handoff)
+		rng := rand.New(rand.NewSource(1))
+		for k := 0; k < 2000; k++ {
+			own := a.Get(1, 0, 0, Time(k), 1+rng.Intn(64), 1)
+			fillSentinel(own, float64(k))
+			sent := a.Get(2, 0, 0, Time(k), 1+rng.Intn(64), 2)
+			fillSentinel(sent, float64(k))
+			handoff <- sent
+			own.Release()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for sent := range handoff {
+			own := b.Get(3, 0, 0, 0, 8, 1)
+			if sent.Tuples[0].SIC != sent.Tuples[len(sent.Tuples)-1].SIC {
+				t.Errorf("handed-off batch payload torn")
+			}
+			if sent.pool != a {
+				t.Errorf("handed-off batch does not belong to its drawing shard")
+			}
+			sent.Release()
+			own.Release()
+		}
+	}()
+	wg.Wait()
+	if root.Live() != 0 || a.Live() != 0 || b.Live() != 0 {
+		t.Fatalf("live after churn: root %d, a %d, b %d", root.Live(), a.Live(), b.Live())
+	}
+}
+
+// TestPoolShardRetainedViewAcrossShards: a retained view drawn from one
+// shard holds its parent from another; releasing the view on the view
+// shard's goroutine after the owner released the parent on its own
+// recycles each into its own shard.
+func TestPoolShardRetainedViewAcrossShards(t *testing.T) {
+	root := NewPool()
+	a, b := root.NewShard(), root.NewShard()
+	for round := 0; round < 200; round++ {
+		parent := a.Get(1, 0, 0, 0, 32, 1)
+		fillSentinel(parent, float64(round))
+		views := make(chan *Batch, 4)
+		for i := 0; i < cap(views); i++ {
+			views <- b.ViewRetained(parent, QueryID(i), 0, 0, 0, parent.Tuples[i*8:(i+1)*8])
+		}
+		close(views)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // the owner's goroutine, drawing from a
+			defer wg.Done()
+			parent.Release()
+			a.Get(9, 0, 0, 0, 32, 1).Release()
+		}()
+		go func(want float64) { // the subscriber's goroutine, drawing from b
+			defer wg.Done()
+			for v := range views {
+				if v.Tuples[0].SIC != want {
+					t.Errorf("round %d: view observed wrong payload generation", round)
+				}
+				v.Release()
+				b.Get(9, 0, 0, 0, 8, 1).Release()
+			}
+		}(float64(round))
+		wg.Wait()
+		if root.Live() != 0 || a.Live() != 0 || b.Live() != 0 {
+			t.Fatalf("round %d: live root %d, a %d, b %d", round, root.Live(), a.Live(), b.Live())
+		}
+	}
+}
+
+// TestPoolTrimDropsFreeStorage: Trim empties the free lists, leaves
+// outstanding batches valid, and a batch released after the trim still
+// recycles into the pool.
+func TestPoolTrimDropsFreeStorage(t *testing.T) {
+	p := NewPool()
+	p.Get(1, 0, 0, 0, 8, 2).Release()
+	held := p.Get(2, 0, 0, 0, 8, 2)
+	fillSentinel(held, 3)
+	p.Trim()
+	if p.headers != nil {
+		t.Fatal("header free list survives Trim")
+	}
+	for c := 0; c < numClasses; c++ {
+		if p.tuples[c] != nil || p.slabs[c] != nil {
+			t.Fatalf("class %d free lists survive Trim", c)
+		}
+	}
+	if held.Tuples[7].V[1] != 3+71 || p.Live() != 1 {
+		t.Fatalf("outstanding batch disturbed by Trim: payload %g, live %d", held.Tuples[7].V[1], p.Live())
+	}
+	held.Release()
+	if p.Live() != 0 || len(p.headers) != 1 || len(p.tuples[0]) != 1 || len(p.slabs[0]) != 1 {
+		t.Fatalf("release after Trim did not recycle: live %d, %d headers", p.Live(), len(p.headers))
 	}
 }
