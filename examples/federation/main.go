@@ -47,29 +47,37 @@ func main() {
 	}
 	defer ctrl.CloseAll()
 
-	// Local queries per site plus federated multi-fragment queries.
-	// Demand: 3×AVG-all(1)×10src + 2×AVG-all(3)×30src + 2×COV(2)×4src
-	// at 40 t/s ≈ 3,900 t/s/site-ish against 2,500 of capacity.
+	// Local queries per site plus federated multi-fragment queries, in
+	// the paper's Table 1 CQL. Demand: 3×AVG-all(1)×10src +
+	// 2×AVG-all(3)×30src + 2×COV(2)×4src at 40 t/s ≈ 3,900 t/s/site-ish
+	// against 2,500 of capacity.
+	const (
+		avgAll = "Select Avg(t.v) From AllSrc[Range 1 sec]"
+		cov    = "Select Cov(SrcCPU1.value, SrcCPU2.value) From SrcCPU1[Range 1 sec], SrcCPU2[Range 1 sec]"
+		top5   = "Select Top5(AllSrcCPU.id) From AllSrcCPU[Range 1 sec], AllSrcMem[Range 1 sec] " +
+			"Where AllSrcMem.free >= 100,000 and AllSrcCPU.id = AllSrcMem.id"
+	)
 	type q struct {
 		workload  string
+		cql       string
 		fragments int
 		placement []int
 	}
 	deployments := []q{
-		{"AVG-all", 1, []int{0}},
-		{"AVG-all", 1, []int{1}},
-		{"AVG-all", 1, []int{2}},
-		{"AVG-all", 3, []int{0, 1, 2}}, // tree across all sites
-		{"AVG-all", 3, []int{2, 1, 0}},
-		{"COV", 2, []int{0, 1}}, // chains across site pairs
-		{"COV", 2, []int{1, 2}},
-		{"TOP-5", 2, []int{2, 0}},
-		{"TOP-5", 2, []int{0, 2}},
+		{"AVG-all", avgAll, 1, []int{0}},
+		{"AVG-all", avgAll, 1, []int{1}},
+		{"AVG-all", avgAll, 1, []int{2}},
+		{"AVG-all", avgAll, 3, []int{0, 1, 2}}, // tree across all sites
+		{"AVG-all", avgAll, 3, []int{2, 1, 0}},
+		{"COV", cov, 2, []int{0, 1}}, // chains across site pairs
+		{"COV", cov, 2, []int{1, 2}},
+		{"TOP-5", top5, 2, []int{2, 0}},
+		{"TOP-5", top5, 2, []int{0, 2}},
 	}
 	const planetLab = 4 // sources.PlanetLab
 	var ids []stream.QueryID
 	for _, d := range deployments {
-		id, err := ctrl.Deploy(d.workload, d.fragments, planetLab, 40, 4, d.placement)
+		id, err := ctrl.Submit(d.cql, d.fragments, planetLab, 40, 4, d.placement)
 		if err != nil {
 			panic(err)
 		}

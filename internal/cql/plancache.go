@@ -27,9 +27,8 @@ import (
 //
 // Plans embed catalog-derived facts (source counts, schemas, generators),
 // so cache keys include a caller-supplied catalog key (e.g. the dataset
-// name) and the fragment count. Membership changes do not invalidate the
-// planning itself — plans name no hosts — but callers that fold placement
-// into cached artifacts call Invalidate on churn epochs.
+// name) and the fragment count. Plans name no hosts, so membership
+// changes never invalidate them.
 type PlanCache struct {
 	mu      sync.Mutex
 	byText  map[string]planEntry
@@ -115,16 +114,6 @@ func (c *PlanCache) PlanDistributed(src string, cat *Catalog, catKey string, fra
 	}
 	c.byText[textKey] = planEntry{plan: p, shape: shapeKey}
 	return p, shapeKey, nil
-}
-
-// Invalidate drops every cached plan. Callers invoke it on membership
-// epochs (node join/failure) so artifacts derived under the old epoch are
-// re-planned rather than trusted stale.
-func (c *PlanCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.byText)
-	clear(c.byShape)
 }
 
 // Stats returns the cumulative hit/miss counters.

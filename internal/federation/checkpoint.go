@@ -1,10 +1,6 @@
 package federation
 
-import (
-	"strconv"
-
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // Virtual-time checkpoint schedule (PR 8). On the configured cadence the
 // engine walks every live fragment at the end of a Step and snapshots its
@@ -48,26 +44,6 @@ type ckptSlot struct {
 	rec *snapshotRec
 }
 
-// compatKey is the shape+rate compatibility identity of a fragment's
-// state: the PR 6 share key without its deploy-tick pin. Under keyed
-// seeding, fragments with equal compat keys observe the same logical
-// stream, so one's snapshot is a valid warm start for the other. Empty
-// when the query has no shape or sharing is off — then only the exact
-// per-fragment record may restore it.
-func (e *Engine) compatKey(rt *queryRT, fi int) string {
-	if rt.shapeKey == "" || e.cfg.Sharing == SharingOff {
-		return ""
-	}
-	key := rt.shapeKey + "|f" + strconv.Itoa(fi)
-	// SharingScaled shares instances across rates, so its state is
-	// compatible across rates too (the restored window holds the
-	// primary's stream either way); every exact mode keeps the rate pin.
-	if e.cfg.Sharing != SharingScaled {
-		key += "|r" + strconv.FormatFloat(rt.rate, 'g', -1, 64)
-	}
-	return key
-}
-
 // rebuildCheckpointSlots re-derives the slot list, the compat index and
 // the record map from the live query set. Cold path: runs only after a
 // deploy or removal dirtied the set, from the next checkpoint tick.
@@ -89,7 +65,7 @@ func (e *Engine) rebuildCheckpointSlots() {
 				e.ckptRecs[key] = rec
 			}
 			e.ckptSlots = append(e.ckptSlots, ckptSlot{rt: rt, fi: fi, rec: rec})
-			if ck := e.compatKey(rt, fi); ck != "" {
+			if ck := e.plane.CompatKey(rt.shapeKey, rt.rate, fi); ck != "" {
 				// First writer wins: e.order is ascending, so the compat
 				// record belongs to the lowest-numbered live query of the
 				// shape — the shared primary under SharingFull.
@@ -133,16 +109,15 @@ func (e *Engine) checkpointTick() {
 	}
 }
 
-// restoreDisplaced restores a just-re-placed fragment from the newest
-// compatible snapshot: the fragment's own record, else the compat index
-// under keyed sharing. It reports whether the fragment now runs on warm
-// state (shared subscribers count as restored — their primary carries the
-// state). Restore failures are tolerated: the caller falls back to the
-// legacy empty-window recovery for the whole query.
+// restoreDisplaced restores a just-re-placed executing fragment from the
+// newest compatible snapshot: the fragment's own record, else the compat
+// index under keyed sharing. It reports whether the fragment now runs on
+// warm state. Restore failures are tolerated: the caller falls back to
+// the legacy empty-window recovery for the whole query.
 func (e *Engine) restoreDisplaced(rt *queryRT, fi int) bool {
 	rec := e.ckptRecs[ckptKey{q: rt.id, fi: fi}]
 	if rec == nil || !rec.valid {
-		if ck := e.compatKey(rt, fi); ck != "" {
+		if ck := e.plane.CompatKey(rt.shapeKey, rt.rate, fi); ck != "" {
 			if cr := e.ckptCompat[ck]; cr != nil && cr.valid {
 				rec = cr
 			}

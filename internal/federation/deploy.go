@@ -90,7 +90,13 @@ func NewPlacer(strategy string, numNodes int, seed int64) (*Placer, error) {
 	if numNodes < 1 {
 		return nil, fmt.Errorf("federation: placer needs at least one node, got %d", numNodes)
 	}
-	return &Placer{strategy: strategy, numNodes: numNodes, rng: rand.New(rand.NewSource(seed)), Skew: 1.5}, nil
+	pl := &Placer{strategy: strategy, numNodes: numNodes, Skew: 1.5}
+	if strategy != "round-robin" {
+		// Round-robin draws nothing; recovery builds a placer per
+		// displaced query, so skip the generator's allocation.
+		pl.rng = rand.New(rand.NewSource(seed))
+	}
+	return pl, nil
 }
 
 // Place assigns k fragments to distinct sites using the configured

@@ -16,12 +16,8 @@
 package federation
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"strconv"
 
 	"repro/internal/coordinator"
 	"repro/internal/core"
@@ -273,10 +269,11 @@ type sicUpdate struct {
 
 // queryRT is the engine-side runtime state of one deployed query.
 type queryRT struct {
-	id        stream.QueryID
-	plan      *query.Plan
+	id   stream.QueryID
+	plan *query.Plan
+	// placement is also the list of hosts coordinator updates go to:
+	// fragments of one query land on distinct nodes.
 	placement []stream.NodeID
-	hosts     []stream.NodeID // distinct hosting nodes
 	resultAcc *sic.Accumulator
 	rate      float64
 	samples   []float64
@@ -292,15 +289,6 @@ type queryRT struct {
 	// statement ("" for plans deployed directly, which never share).
 	// Keyed source seeding and fragment dedup both hang off it.
 	shapeKey string
-	// subKeys holds one canonical subtree shape key per fragment
-	// (cql.SubtreeKeys), the dedup identity for leaf and interior
-	// fragments alike. nil when the query has no shape.
-	subKeys []string
-	// attached marks, per fragment, whether the fragment currently rides
-	// a shared instance as a subscriber instead of executing privately.
-	// Upstream fragments consult it to decide whether their fan-out view
-	// is needed (a shared downstream is already fed by the primary chain).
-	attached []bool
 	// removed freezes the query's statistics after RemoveQuery.
 	removed bool
 }
@@ -310,7 +298,6 @@ type Engine struct {
 	cfg     Config
 	rng     *rand.Rand
 	nodes   []*node.Node
-	dead    []bool
 	coords  map[stream.QueryID]*coordinator.Coordinator
 	queries map[stream.QueryID]*queryRT
 	order   []stream.QueryID
@@ -337,10 +324,9 @@ type Engine struct {
 	// query per tick; slices are reused across ticks.
 	accBatch map[stream.QueryID][]float64
 
-	// qcPlacer assigns sites to QueryChurn submissions without an
-	// explicit placement; it is rebuilt over the live membership whenever
-	// membership changes, mirroring the transport controller's placer.
-	qcPlacer *Placer
+	// plane makes every placement, sharing and recovery decision — the
+	// same code the transport controller runs — and owns the membership.
+	plane *Plane
 	// skippedSubmits and skippedRetracts count scheduled events the
 	// engine could not apply (bad CQL, too few live nodes, unknown
 	// query id) — schedule errors cannot surface from Step, so tests
@@ -348,18 +334,6 @@ type Engine struct {
 	// same mistakes as Submit/Retract errors.
 	skippedSubmits  int
 	skippedRetracts int
-
-	// subKeyMemo memoises cql.SubtreeKeys per shape key: shape determines
-	// plan structure (the dedup-soundness invariant the cql tests pin), so
-	// the per-fragment subtree keys are a pure function of the shape.
-	subKeyMemo map[string][]string
-
-	// planCache memoises cql.PlanDistributed across submissions — with
-	// thousands of structurally similar queries, parsing and planning
-	// dominate submit cost. catalogs memoises DefaultCatalog per dataset
-	// for the same reason.
-	planCache *cql.PlanCache
-	catalogs  map[sources.Dataset]*cql.Catalog
 
 	// Checkpoint schedule state (see checkpoint.go). ckptEvery is the
 	// cadence in ticks (0 = off); ckptSlots is the precomputed per-tick
@@ -396,15 +370,13 @@ func NewEngine(cfg Config) *Engine {
 		cfg.BatchesPerSec = 3
 	}
 	e := &Engine{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		pool:       stream.NewPool(),
-		coords:     make(map[stream.QueryID]*coordinator.Coordinator),
-		queries:    make(map[stream.QueryID]*queryRT),
-		accBatch:   make(map[stream.QueryID][]float64),
-		subKeyMemo: make(map[string][]string),
-		planCache:  cql.NewPlanCache(),
-		catalogs:   make(map[sources.Dataset]*cql.Catalog),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		pool:     stream.NewPool(),
+		coords:   make(map[stream.QueryID]*coordinator.Coordinator),
+		queries:  make(map[stream.QueryID]*queryRT),
+		accBatch: make(map[stream.QueryID][]float64),
+		plane:    NewPlane(cfg.Sharing, cfg.Placement, cfg.Seed),
 	}
 	if cfg.Checkpoint > 0 {
 		e.ckptEvery = int64(cfg.Checkpoint / cfg.Interval)
@@ -452,7 +424,7 @@ func (e *Engine) newShedder() core.Shedder {
 // AddNode adds a processing node with the given true capacity in tuples
 // per second and returns its id.
 func (e *Engine) AddNode(capacityPerSec float64) stream.NodeID {
-	id := stream.NodeID(len(e.nodes))
+	id := e.plane.AddNode()
 	n := node.New(id, node.Config{
 		Interval:       e.cfg.Interval,
 		STW:            e.cfg.STW,
@@ -462,11 +434,6 @@ func (e *Engine) AddNode(capacityPerSec float64) stream.NodeID {
 		Seed:           e.rng.Int63(),
 	}, e.newShedder())
 	e.nodes = append(e.nodes, n)
-	e.dead = append(e.dead, false)
-	e.rebuildQCPlacer()
-	// Membership epoch: artifacts cached under the old membership are
-	// re-derived rather than trusted stale.
-	e.planCache.Invalidate()
 	return id
 }
 
@@ -501,21 +468,8 @@ func (e *Engine) deployShaped(plan *query.Plan, placement []stream.NodeID, rate 
 	if err := plan.Validate(); err != nil {
 		return 0, err
 	}
-	if len(placement) != plan.NumFragments() {
-		return 0, fmt.Errorf("federation: placement has %d entries for %d fragments", len(placement), plan.NumFragments())
-	}
-	seen := make(map[stream.NodeID]bool)
-	for _, nd := range placement {
-		if int(nd) < 0 || int(nd) >= len(e.nodes) {
-			return 0, fmt.Errorf("federation: placement names missing node %d", nd)
-		}
-		if e.dead[nd] {
-			return 0, fmt.Errorf("federation: placement names dead node %d", nd)
-		}
-		if seen[nd] {
-			return 0, fmt.Errorf("federation: fragments of one query must be placed on distinct nodes")
-		}
-		seen[nd] = true
+	if err := e.plane.Validate(placement, plan.NumFragments()); err != nil {
+		return 0, err
 	}
 	if rate <= 0 {
 		rate = e.cfg.SourceRate
@@ -532,20 +486,10 @@ func (e *Engine) deployShaped(plan *query.Plan, placement []stream.NodeID, rate 
 		epoch:     stream.Time(e.tick * int64(e.cfg.Interval)),
 		shapeKey:  shapeKey,
 	}
-	if shapeKey != "" && e.cfg.Sharing >= SharingFull {
-		rt.subKeys = e.subtreeKeys(shapeKey, plan)
-		rt.attached = make([]bool, plan.NumFragments())
-	}
-	hostSeen := make(map[stream.NodeID]bool, len(placement))
-	for _, nd := range placement {
-		if !hostSeen[nd] {
-			hostSeen[nd] = true
-			rt.hosts = append(rt.hosts, nd)
-		}
-	}
-
+	// Queries deployed in one tick start cold together and may share.
+	epoch := e.plane.Register(q, shapeKey, rate, plan, e.tick)
 	for fi := range plan.Fragments {
-		e.placeFragment(rt, fi, placement[fi])
+		e.placeFragment(rt, fi, epoch)
 	}
 
 	e.coords[q] = coordinator.New(q, e.cfg.UpdateMode, e.cfg.STW, e.cfg.Interval)
@@ -572,6 +516,7 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 		return false
 	}
 	rt.removed = true
+	e.plane.Drop(q)
 	for fi := range rt.plan.Fragments {
 		e.nodes[rt.placement[fi]].RemoveFragment(q, stream.FragID(fi))
 	}
@@ -596,7 +541,7 @@ func (e *Engine) RemoveQuery(q stream.QueryID) bool {
 	e.ckptDirty = true
 	// The departing query may have owned shared instances whose
 	// subscribers were just promoted; re-derive their fan-out boundaries.
-	e.fixShareEmits()
+	e.applyFlips()
 	return true
 }
 
@@ -680,85 +625,52 @@ func (e *Engine) applyChurn() {
 }
 
 // KillNode fails a node mid-run, mirroring the transport controller's
-// recovery: every query fragment the node hosted is re-placed on the
-// lowest-numbered surviving nodes not already hosting the query, with a
-// fresh executor and fresh sources. Without checkpointing, operator
-// window state dies with the node, exactly as in a real crash, and the
-// affected queries' SIC accounting resets at this recovery epoch — their
-// statistics describe the post-recovery pipeline. With Config.Checkpoint
-// set, each displaced fragment is restored from the newest compatible
-// snapshot instead; when every displaced fragment of a query restores,
-// the epoch resets are skipped and the query's surviving accumulators
-// carry straight through the failure (checkpoint.go). A query that
-// cannot be re-placed (too few survivors) departs. Batches in transit
-// to the dead node are dropped on delivery and counted against the
-// sender's dropped-SIC stats.
+// recovery: every query fragment the node hosted is re-placed on a
+// surviving node not already hosting the query (Plane.Recover), with a
+// fresh executor and fresh sources, under a share epoch of its own.
+// Without checkpointing, operator window state dies with the node,
+// exactly as in a real crash, and the affected queries' SIC accounting
+// resets at this recovery epoch — their statistics describe the
+// post-recovery pipeline. With Config.Checkpoint set, each displaced
+// fragment is restored from the newest compatible snapshot instead (one
+// that attaches to a live instance needs none); when every displaced
+// fragment of a query restores, the epoch resets are skipped and the
+// query's surviving accumulators carry straight through the failure
+// (checkpoint.go). A query that cannot be re-placed (too few survivors)
+// departs. Batches in transit to the dead node are dropped on delivery
+// and counted against the sender's dropped-SIC stats.
 func (e *Engine) KillNode(id stream.NodeID) {
-	if int(id) < 0 || int(id) >= len(e.nodes) || e.dead[id] {
+	if !e.plane.Alive(id) {
 		return
 	}
-	e.dead[id] = true
+	epoch := e.plane.Kill(id)
 	// The dead node never ticks again: recycle whatever sat in its input
 	// buffer so the pool's leak accounting stays exact.
 	e.nodes[id].ReleaseBuffers()
-	e.rebuildQCPlacer()
-	e.planCache.Invalidate()
 	for _, qid := range e.order {
 		rt := e.queries[qid]
 		if rt.removed {
 			continue
 		}
-		var displaced []int
-		used := make(map[stream.NodeID]bool, len(rt.placement))
-		for fi, nd := range rt.placement {
-			if nd == id {
-				displaced = append(displaced, fi)
-			} else {
-				used[nd] = true
-			}
-		}
-		if len(displaced) == 0 {
-			continue
-		}
-		var candidates []stream.NodeID
-		for ni := range e.nodes {
-			nd := stream.NodeID(ni)
-			if !e.dead[nd] && !used[nd] {
-				candidates = append(candidates, nd)
-			}
-		}
-		if len(candidates) < len(displaced) {
+		displaced, err := e.plane.Recover(qid, rt.placement, id)
+		if err != nil {
 			// Unrecoverable for this query: not enough distinct survivors.
 			// The federation keeps running without it (the TCP controller
 			// aborts here instead — it owes the user an answer).
 			e.RemoveQuery(qid)
 			continue
 		}
-		for i, fi := range displaced {
+		if len(displaced) == 0 {
+			continue
+		}
+		// All-or-nothing per query: a partially-restored query would mix
+		// warm and cold windows under one surviving accumulator, so any
+		// failure falls back to the full legacy recovery epoch.
+		restored := e.ckptEvery > 0
+		for _, fi := range displaced {
 			e.nodes[id].RemoveFragment(qid, stream.FragID(fi))
-			e.placeFragment(rt, fi, candidates[i])
-		}
-		rt.hosts = rt.hosts[:0]
-		hostSeen := make(map[stream.NodeID]bool, len(rt.placement))
-		for _, nd := range rt.placement {
-			if !hostSeen[nd] {
-				hostSeen[nd] = true
-				rt.hosts = append(rt.hosts, nd)
-			}
-		}
-		// With checkpointing on, try to restore every displaced fragment
-		// from its newest compatible snapshot. All-or-nothing per query:
-		// a partially-restored query would mix warm and cold windows under
-		// one surviving accumulator, so any failure falls back to the full
-		// legacy recovery epoch.
-		restored := false
-		if e.ckptEvery > 0 {
-			restored = true
-			for _, fi := range displaced {
-				if !e.restoreDisplaced(rt, fi) {
-					restored = false
-					break
-				}
+			if !e.placeFragment(rt, fi, epoch) && restored {
+				restored = e.restoreDisplaced(rt, fi)
 			}
 		}
 		if restored {
@@ -774,9 +686,9 @@ func (e *Engine) KillNode(id stream.NodeID) {
 		}
 	}
 	// Re-placement changed which fragments execute privately (a displaced
-	// rider that found no same-tick sharer now runs its own executor and
-	// needs the views its upstream subscriptions previously suppressed).
-	e.fixShareEmits()
+	// rider that found no sharer now runs its own executor and needs the
+	// views its upstream subscriptions previously suppressed).
+	e.applyFlips()
 	// Hand-offs on the dead node are moot — its instances are being
 	// re-placed, and batches in transit to it drop on delivery either way.
 	e.nodes[id].TakePromotions()
@@ -800,167 +712,43 @@ func (e *Engine) relabelTransit(p node.Promotion) {
 	}
 }
 
-// placeFragment instantiates fragment fi of rt's plan on the given
-// node: fresh executor, fresh sources (their rate estimators warm-start,
-// as on a newly deployed node). Both the initial deploy and failure
-// recovery go through here, so a re-placed fragment reconstructs the
-// same per-source generator indices — the query-global running count —
-// as the fragment it replaces, even for plans with uneven per-fragment
-// source counts.
-func (e *Engine) placeFragment(rt *queryRT, fi int, nd stream.NodeID) {
+// placeFragment instantiates fragment fi of rt's plan on the node its
+// placement names, as the plane decides under the share epoch: riding
+// the node's live same-key instance (reported true), or with a fresh
+// executor and fresh sources whose rate estimators warm-start, as on a
+// newly deployed node. Both the initial deploy and failure recovery go
+// through here, so a re-placed fragment reconstructs the same sources as
+// the fragment it replaces.
+func (e *Engine) placeFragment(rt *queryRT, fi int, epoch int64) bool {
 	plan := rt.plan
-	fp := plan.Fragments[fi]
-	host := e.nodes[nd]
+	host := e.nodes[rt.placement[fi]]
 	downstream := stream.FragID(-1)
 	downstreamPort := -1
 	if d := plan.Downstream[fi]; d >= 0 {
 		downstream = stream.FragID(d)
 		downstreamPort = plan.Fragments[d].UpstreamPort
 	}
-	// Keyed modes derive source seeds from the query's structural shape
-	// instead of the submission-order RNG: structurally identical queries
-	// then observe identical source data (the production semantics — many
-	// dashboards over one metric feed) and, crucially, consume nothing
-	// from e.rng here, so a deduplicated deployment (SharingFull) and a
-	// private one (SharingKeyed) keep the engine's random state — and
-	// therefore everything downstream of it — bit-identical.
-	keyed := e.cfg.Sharing != SharingOff && rt.shapeKey != ""
-	// Every fragment — leaf scans and interior partial-aggregate merges
-	// alike — deduplicates under its canonical subtree shape key
-	// (cql.SubtreeKeys): given keyed seeds, equal subtree keys + equal
-	// rate ⇒ the same input forever, at every level of the plan. The key
-	// appends the fragment index (interchangeable leaves of one query
-	// must not collapse onto each other — they scan distinct sources) and
-	// pins the deployment tick, so a late arrival never attaches to an
-	// instance with warm window state its private pipeline would not have
-	// had; co-displaced queries re-share at the recovery tick the same
-	// way. SharingScaled drops the rate pin and scales SIC at the fan-out
-	// point instead.
-	shareKey := ""
-	if rt.subKeys != nil && keyed {
-		shareKey = rt.subKeys[fi] + "|f" + strconv.Itoa(fi)
-		if e.cfg.Sharing != SharingScaled {
-			shareKey += "|r" + strconv.FormatFloat(rt.rate, 'g', -1, 64)
-		}
-		shareKey += "|t" + strconv.FormatInt(e.tick, 10)
+	sh := e.plane.Attach(rt.id, fi, rt.placement[fi], epoch)
+	if sh.Attach && host.AttachShared(sh.Key, rt.id, stream.FragID(fi), downstream, downstreamPort, sh.Emit, sh.Scale) {
+		return true
 	}
-	if shareKey != "" {
-		// A subscriber's fan-out view is only needed where its private
-		// pipeline resumes: the root rider always needs its own result
-		// stream, while an interior rider whose downstream fragment also
-		// rides a shared instance must not double-feed it.
-		emit := true
-		if d := plan.Downstream[fi]; d >= 0 && rt.attached[d] {
-			emit = false
-		}
-		// Rate-scaled sharing converts the primary's SIC mass into the
-		// rider's normalisation at the fan-out point. Eq. (1) stamps are
-		// fractions of the stamping query's ideal window content (rate ×
-		// |S| × T); a rider declaring twice the primary's rate receives
-		// half of *its* ideal content from the shared stream, so its view
-		// headers carry primaryRate/riderRate of the primary's mass. The
-		// per-tuple stamps inside the aliased payload stay the primary's —
-		// the header is the accountable quantity (deliverResult).
-		scale := 1.0
-		if e.cfg.Sharing == SharingScaled && rt.rate > 0 {
-			if pq, ok := host.SharedPrimary(shareKey); ok {
-				if prt := e.queries[pq]; prt != nil && prt.rate > 0 {
-					scale = prt.rate / rt.rate
-				}
-			}
-		}
-		if host.AttachShared(shareKey, rt.id, stream.FragID(fi), downstream, downstreamPort, emit, scale) {
-			rt.placement[fi] = nd
-			rt.attached[fi] = true
-			return
-		}
+	host.HostFragmentShared(rt.id, stream.FragID(fi), query.NewFragmentExec(plan.Fragments[fi]), plan.NumSources(), downstream, downstreamPort, sh.Key)
+	// Keyed modes draw nothing from e.rng here, so a deduplicated
+	// deployment (SharingFull) and a private one (SharingKeyed) keep the
+	// engine's random state — and everything downstream of it — identical.
+	rng := e.rng
+	if seed, ok := e.plane.KeyedSeed(rt.shapeKey, rt.rate, fi); ok {
+		rng = rand.New(rand.NewSource(seed))
 	}
-	if rt.attached != nil {
-		rt.attached[fi] = false
-	}
-	host.HostFragmentShared(rt.id, stream.FragID(fi), query.NewFragmentExec(fp), plan.NumSources(), downstream, downstreamPort, shareKey)
-	genIdx := plan.SourceIndexOffset(fi)
-	for si, ss := range fp.Sources {
-		var genSeed, srcSeed int64
-		if keyed {
-			genSeed = e.keyedSeed(rt.shapeKey, fi, si, 'g')
-			srcSeed = e.keyedSeed(rt.shapeKey, fi, si, 's')
-		} else {
-			genSeed = e.rng.Int63()
-			srcSeed = e.rng.Int63()
-		}
-		gen := ss.NewGen(rand.New(rand.NewSource(genSeed)), genIdx+si)
-		src := sources.New(e.nextSource, rt.id, stream.FragID(fi), ss.Port,
-			rt.rate, e.cfg.BatchesPerSec, ss.Arity, gen, srcSeed)
-		src.Burst = e.cfg.Burst
-		e.nextSource++
-		host.AttachSource(src)
-	}
-	rt.placement[fi] = nd
+	e.nextSource = AttachSources(host, rt.id, plan, fi, rng, e.nextSource, rt.rate, e.cfg.BatchesPerSec, e.cfg.Burst)
+	return false
 }
 
-// subtreeKeys memoises cql.SubtreeKeys per shape key. Shape determines
-// plan structure (the dedup-soundness invariant TestShapeImpliesIdenticalPlans
-// pins), so the per-fragment subtree keys are a pure function of the
-// shape and survive plan-cache invalidation.
-func (e *Engine) subtreeKeys(shapeKey string, plan *query.Plan) []string {
-	if ks, ok := e.subKeyMemo[shapeKey]; ok {
-		return ks
+// applyFlips delivers the plane's emit-invariant sweep to the nodes.
+func (e *Engine) applyFlips() {
+	for _, fl := range e.plane.Sweep() {
+		e.nodes[fl.Node].SetSubEmit(fl.Query, fl.Frag, fl.Emit)
 	}
-	ks := cql.SubtreeKeys(plan, shapeKey)
-	e.subKeyMemo[shapeKey] = ks
-	return ks
-}
-
-// fixShareEmits re-establishes the fan-out boundary invariant after an
-// ownership change — a promotion following a shared primary's departure,
-// or a failure re-placement: a query's subscription at fragment u must
-// emit fan-out views exactly when the query executes u's downstream
-// fragment privately (a shared downstream is fed by its own primary's
-// chain, so a view would double-feed it; a private downstream starves
-// without one). The sweep reads the nodes' share indexes directly, so it
-// is correct even when node-side promotions have relabelled instances
-// the engine's placement records still describe by their old owner.
-func (e *Engine) fixShareEmits() {
-	if e.cfg.Sharing < SharingFull {
-		return
-	}
-	for _, qid := range e.order {
-		rt := e.queries[qid]
-		if rt.removed || rt.subKeys == nil {
-			continue
-		}
-		for u := range rt.plan.Fragments {
-			d := rt.plan.Downstream[u]
-			if d < 0 {
-				continue
-			}
-			un := e.nodes[rt.placement[u]]
-			if !un.IsShareSub(qid, stream.FragID(u)) {
-				continue
-			}
-			emit := !e.nodes[rt.placement[d]].IsShareSub(qid, stream.FragID(d))
-			un.SetSubEmit(qid, stream.FragID(u), emit)
-		}
-	}
-}
-
-// keyedSeed hashes (engine seed, shape key, fragment, source, stream tag)
-// into a deterministic source seed — FNV-1a over the identifying facts.
-// Excluding the deployment tick keeps a fragment re-placed after failure
-// on the same logical data stream as the instance it replaces.
-func (e *Engine) keyedSeed(shapeKey string, fi, si int, which byte) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(e.cfg.Seed))
-	h.Write(buf[:])
-	h.Write([]byte(shapeKey))
-	binary.LittleEndian.PutUint64(buf[:], uint64(fi))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(si))
-	h.Write(buf[:])
-	h.Write([]byte{which})
-	return int64(h.Sum64() >> 1) // non-negative, rand.NewSource-friendly
 }
 
 // --- query churn ---
@@ -996,20 +784,16 @@ func (e *Engine) applyQueryChurn() {
 // running federation. It is the virtual-time twin of Controller.Submit:
 // queries are first-class runtime citizens that may arrive at any tick.
 func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64, placement []stream.NodeID) (stream.QueryID, error) {
-	if fragments < 1 {
-		fragments = 1
-	}
-	ds := sources.Dataset(dataset)
 	// The plan cache short-circuits the whole lex/parse/plan pipeline for
 	// repeated text, and re-planning for merely re-spelled statements.
 	// Plans are read-only templates — operators instantiate per
 	// deployment — so sharing one across query ids changes nothing.
-	plan, shapeKey, err := e.planCache.PlanDistributed(cqlText, e.catalog(ds), ds.String(), fragments)
+	plan, shapeKey, err := e.plane.Plan(cqlText, fragments, dataset)
 	if err != nil {
 		return 0, err
 	}
 	if placement == nil {
-		placement, err = e.autoPlace(plan.NumFragments())
+		placement, err = e.plane.Place(plan.NumFragments())
 		if err != nil {
 			return 0, err
 		}
@@ -1017,56 +801,8 @@ func (e *Engine) SubmitCQL(cqlText string, fragments, dataset int, rate float64,
 	return e.deployShaped(plan, placement, rate, shapeKey)
 }
 
-// catalog memoises DefaultCatalog per dataset: catalogs are immutable
-// stream descriptions, and rebuilding one per submission is measurable at
-// thousands of queries.
-func (e *Engine) catalog(d sources.Dataset) *cql.Catalog {
-	if c, ok := e.catalogs[d]; ok {
-		return c
-	}
-	c := cql.DefaultCatalog(d)
-	e.catalogs[d] = c
-	return c
-}
-
 // PlanCacheStats reports the submit-path plan cache counters.
-func (e *Engine) PlanCacheStats() cql.PlanCacheStats { return e.planCache.Stats() }
-
-// autoPlace assigns k fragments to distinct live nodes with the
-// configured placement strategy, mirroring Controller.AutoPlace.
-func (e *Engine) autoPlace(k int) ([]stream.NodeID, error) {
-	var alive []stream.NodeID
-	for ni := range e.nodes {
-		if !e.dead[ni] {
-			alive = append(alive, stream.NodeID(ni))
-		}
-	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("federation: no live nodes to place on")
-	}
-	if e.qcPlacer == nil {
-		p, err := NewPlacer(e.cfg.Placement, len(alive), e.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		e.qcPlacer = p
-	}
-	ids, err := e.qcPlacer.Place(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]stream.NodeID, len(ids))
-	for i, id := range ids {
-		out[i] = alive[int(id)]
-	}
-	return out, nil
-}
-
-// rebuildQCPlacer re-derives the churn placer over the live membership
-// (strategy and seed preserved, round-robin state restarts), so
-// scheduled submissions never target dead nodes. Lazily re-created on
-// the next autoPlace.
-func (e *Engine) rebuildQCPlacer() { e.qcPlacer = nil }
+func (e *Engine) PlanCacheStats() cql.PlanCacheStats { return e.plane.PlanCacheStats() }
 
 // SkippedSubmits reports how many scheduled QueryChurn submissions
 // could not be applied.
@@ -1077,9 +813,7 @@ func (e *Engine) SkippedSubmits() int { return e.skippedSubmits }
 func (e *Engine) SkippedRetracts() int { return e.skippedRetracts }
 
 // NodeAlive reports whether a node is still part of the membership.
-func (e *Engine) NodeAlive(id stream.NodeID) bool {
-	return int(id) >= 0 && int(id) < len(e.nodes) && !e.dead[id]
-}
+func (e *Engine) NodeAlive(id stream.NodeID) bool { return e.plane.Alive(id) }
 
 // Placement returns a copy of a query's current fragment→node
 // assignment (it changes when failure recovery re-places fragments).
@@ -1124,16 +858,17 @@ func (e *Engine) workerCount() int {
 // outboxes in node-ID order. The sequential path avoids the worker-pool
 // closure entirely: a steady-state single-worker step allocates nothing.
 func (e *Engine) computePhase(t stream.Time) {
+	dead := e.plane.dead
 	if e.workerCount() <= 1 {
 		for i, n := range e.nodes {
-			if !e.dead[i] {
+			if !dead[i] {
 				n.Tick(t)
 			}
 		}
 		return
 	}
 	parallel.ForEach(len(e.nodes), e.workerCount(), func(i int) {
-		if e.dead[i] {
+		if dead[i] {
 			return
 		}
 		e.nodes[i].Tick(t)
@@ -1147,7 +882,7 @@ func (e *Engine) computePhase(t stream.Time) {
 // parallel compute phase bit-identical to a sequential one.
 func (e *Engine) exchangePhase(now stream.Time) {
 	for i, n := range e.nodes {
-		if e.dead[i] {
+		if e.plane.dead[i] {
 			continue
 		}
 		out := n.TakeOutbox()
@@ -1193,9 +928,10 @@ func (e *Engine) Step() {
 	// record the drop.
 	slot := e.tick % int64(len(e.transitRing))
 	due := e.transitRing[slot]
+	dead := e.plane.dead
 	for i, d := range due {
-		if e.dead[d.to] {
-			if !e.dead[d.from] {
+		if dead[d.to] {
+			if !dead[d.from] {
 				e.nodes[d.from].NoteDropped(d.b.Len(), d.b.SIC)
 			}
 			d.b.Release()
@@ -1206,7 +942,7 @@ func (e *Engine) Step() {
 	}
 	e.transitRing[slot] = due[:0]
 	for _, u := range e.updateRing[slot] {
-		if e.dead[u.to] {
+		if dead[u.to] {
 			continue
 		}
 		e.nodes[u.to].SetResultSIC(u.q, u.v)
@@ -1230,10 +966,10 @@ func (e *Engine) Step() {
 			rt := e.queries[qid]
 			v := c.Value(now)
 			slot := (e.tick + delay) % int64(len(e.updateRing))
-			for _, nd := range rt.hosts {
+			for _, nd := range rt.placement {
 				e.updateRing[slot] = append(e.updateRing[slot], sicUpdate{to: nd, q: qid, v: v})
 			}
-			c.NoteUpdateSent(len(rt.hosts))
+			c.NoteUpdateSent(len(rt.placement))
 		}
 	}
 

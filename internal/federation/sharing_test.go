@@ -3,6 +3,7 @@ package federation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/node"
@@ -65,11 +66,59 @@ func sharingRun(t *testing.T, mode Sharing, workers int) *Results {
 			t.Fatal(err)
 		}
 	}
-	res := e.Run()
+	for i := int64(0); i < int64(cfg.Duration/cfg.Interval); i++ {
+		e.Step()
+		checkMirror(t, e)
+	}
 	if n := e.SkippedSubmits(); n != 0 {
 		t.Fatalf("%d submissions skipped", n)
 	}
-	return res
+	return e.Results()
+}
+
+// checkMirror requires the plane's share mirror to describe every live
+// node exactly — the contract the transport controller relies on when it
+// predicts host state instead of asking: each group's executing member
+// hosts the instance, every other member rides it, each query's attach
+// flags agree, and the per-node group and rider counts match the node's
+// share index.
+func checkMirror(t *testing.T, e *Engine) {
+	t.Helper()
+	riders := make(map[stream.NodeID]int)
+	for _, q := range e.plane.order {
+		qs := e.plane.shares[q]
+		for fi, key := range qs.keys {
+			nd, f := qs.nodes[fi], stream.FragID(fi)
+			if key == "" || !e.NodeAlive(nd) {
+				continue
+			}
+			n := e.Node(nd)
+			i := slices.Index(e.plane.groups[nd][key], q)
+			switch {
+			case i < 0:
+				t.Fatalf("tick %d node %d: query %d frag %d missing from group %q", e.tick, nd, q, f, key)
+			case qs.attached[fi] != (i > 0):
+				t.Fatalf("tick %d node %d: query %d frag %d is member %d but attached=%v", e.tick, nd, q, f, i, qs.attached[fi])
+			case i == 0 && (!n.HostsFragment(q, f) || n.IsShareSub(q, f)):
+				t.Fatalf("tick %d node %d: query %d frag %d should execute %q", e.tick, nd, q, f, key)
+			case i > 0 && !n.IsShareSub(q, f):
+				t.Fatalf("tick %d node %d: query %d frag %d should ride %q", e.tick, nd, q, f, key)
+			case i > 0:
+				riders[nd]++
+			}
+		}
+	}
+	for ni := range e.nodes {
+		nd := stream.NodeID(ni)
+		if !e.NodeAlive(nd) {
+			continue
+		}
+		ss := e.Node(nd).StateSize()
+		if groups := len(e.plane.groups[nd]); groups != ss.SharedInstances || riders[nd] != ss.Subscriptions {
+			t.Fatalf("tick %d node %d: mirror holds %d groups, %d riders; node %d instances, %d subscriptions",
+				e.tick, nd, groups, riders[nd], ss.SharedInstances, ss.Subscriptions)
+		}
+	}
 }
 
 // queryFacts projects the parts of Results that sharing must preserve
@@ -364,6 +413,7 @@ func TestSharingFullRandomTeardown(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			e.Step()
+			checkMirror(t, e)
 		}
 		var inst, subs int
 		for ni := 0; ni < e.NumNodes(); ni++ {
@@ -378,12 +428,15 @@ func TestSharingFullRandomTeardown(t *testing.T) {
 			if !e.RemoveQuery(ids[idx]) {
 				t.Fatalf("workers=%d: query %d did not remove", workers, ids[idx])
 			}
+			checkMirror(t, e)
 			if k%4 == 3 {
 				e.Step()
+				checkMirror(t, e)
 			}
 		}
 		for i := 0; i < 40; i++ {
 			e.Step() // outlast link latency and any straggling updates
+			checkMirror(t, e)
 		}
 		for ni := 0; ni < e.NumNodes(); ni++ {
 			if ss := e.Node(stream.NodeID(ni)).StateSize(); ss != (node.StateSize{}) {
@@ -393,5 +446,50 @@ func TestSharingFullRandomTeardown(t *testing.T) {
 		if live := e.Pool().Live(); live != 0 {
 			t.Errorf("workers=%d: %d pooled batches leaked after teardown", workers, live)
 		}
+	}
+}
+
+// TestSharingSameTickRecoveryBitIdentical submits a query in the tick a
+// node dies, pinned to the node its checkpointed twin recovers onto.
+// Recovery restores the twin warm; the new query starts cold, so it must
+// not attach to the restored instance: recovery events and submissions
+// never share an epoch, and Full stays bit-identical to Keyed.
+func TestSharingSameTickRecoveryBitIdentical(t *testing.T) {
+	const cqlText = "Select Avg(t.v) From Src[Range 1 sec]"
+	run := func(mode Sharing) *Results {
+		cfg := Defaults()
+		cfg.Duration = 15 * stream.Second
+		cfg.Warmup = 0
+		cfg.SourceRate = 20
+		cfg.KeepSamples = true
+		cfg.Checkpoint = cfg.Interval
+		cfg.Seed = 42
+		cfg.Sharing = mode
+		// Tick 26 is mid-window: the restored instance holds history.
+		cfg.Churn = []ChurnEvent{{Tick: 26, Kill: []stream.NodeID{0}}}
+		cfg.QueryChurn = []QueryChurnEvent{{Tick: 26, Submit: []QuerySubmit{
+			{CQL: cqlText, Fragments: 1, Dataset: 1, Placement: []stream.NodeID{1}},
+		}}}
+		e := NewEngine(cfg)
+		e.AddNodes(4, 1e8)
+		if _, err := e.SubmitCQL(cqlText, 1, 1, 0, []stream.NodeID{0}); err != nil {
+			t.Fatal(err)
+		}
+		res := e.Run()
+		if n := e.SkippedSubmits(); n != 0 {
+			t.Fatalf("%d submissions skipped", n)
+		}
+		if p := e.Placement(0); p[0] != 1 {
+			t.Fatalf("recovered fragment landed on node %d, want 1", p[0])
+		}
+		return res
+	}
+	keyed, full := queryFacts(run(SharingKeyed)), queryFacts(run(SharingFull))
+	if len(keyed.Queries) != 2 {
+		t.Fatalf("deployment drifted: %d queries, want 2", len(keyed.Queries))
+	}
+	if !reflect.DeepEqual(keyed, full) {
+		t.Errorf("SharingFull diverges from SharingKeyed:\nfull  %.3f %.3f\nkeyed %.3f %.3f",
+			full.Queries[0].MeanSIC, full.Queries[1].MeanSIC, keyed.Queries[0].MeanSIC, keyed.Queries[1].MeanSIC)
 	}
 }

@@ -432,18 +432,6 @@ func (n *Node) AttachShared(shareKey string, q stream.QueryID, f stream.FragID,
 	return true
 }
 
-// SharedPrimary reports the query currently executing the shared
-// instance registered under the key, so drivers can compare a
-// prospective subscriber against the primary (rate scaling) before
-// attaching.
-func (n *Node) SharedPrimary(shareKey string) (stream.QueryID, bool) {
-	pk, ok := n.shared[shareKey]
-	if !ok {
-		return 0, false
-	}
-	return pk.q, true
-}
-
 // SetSubEmit flips the fan-out emission of an existing subscription.
 // Drivers call it when a subscriber's downstream fragment stops (or
 // starts) riding a shared instance — e.g. failure recovery re-placed the

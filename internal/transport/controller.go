@@ -3,29 +3,23 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/coordinator"
-	"repro/internal/cql"
 	"repro/internal/federation"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/sic"
-	"repro/internal/sources"
 	"repro/internal/stream"
 )
 
 // Controller plays the query-submission node and the per-query
 // coordinators of a networked THEMIS federation: it deploys query
-// fragments across node servers (placement mirrors the virtual-time
-// engine's site assignment via federation.Placer), starts them, ingests
+// fragments across node servers, starts them, ingests
 // result/accepted reports, broadcasts result-SIC updates every interval,
 // and summarises per-query SIC at the end. Derived batches never pass
 // through the controller — hosts ship them to each other directly.
@@ -36,15 +30,21 @@ import (
 // affected queries' SIC accounting restarts at a recovery epoch. Only a
 // failure that cannot be re-placed — too few survivors for the query's
 // fragments — aborts the run.
+//
+// Every placement, sharing and recovery decision comes from a
+// federation.Plane — the same code the virtual-time engine runs — and
+// the controller sends it as frames. The plane's share mirror predicts
+// host share state without a round trip: sends to one host are ordered,
+// and its attach/promote decisions are deterministic in arrival order.
 type Controller struct {
 	mu     sync.Mutex
 	nodes  []*conn
 	addrs  []string
-	dead   []bool
+	plane  *federation.Plane
 	coords map[stream.QueryID]*coordinator.Coordinator
 	accs   map[stream.QueryID]*sic.Accumulator
 	sums   map[stream.QueryID]*sampleStats
-	hosts  map[stream.QueryID][]int // fragment → node index, per query
+	hosts  map[stream.QueryID][]stream.NodeID // fragment → node index, per query
 	deps   map[stream.QueryID]*deployRecord
 	// qEpochs records each query's measurement epoch (deploy time): a
 	// query submitted mid-run warms up on its own clock before its
@@ -61,12 +61,12 @@ type Controller struct {
 	// every KindCheckpoint frame and dropped on retract. Blobs are
 	// opaque here — versioned and checksummed by the stream snapshot
 	// codec, verified by the restoring node.
-	ckpts  map[peerKey][]byte
-	nextQ  stream.QueryID
-	seed   int64
-	placer *federation.Placer
+	ckpts map[peerKey][]byte
+	nextQ stream.QueryID
+	// seed is ControllerConfig.Seed; query q's sources draw from
+	// seed+q+1+fragment when sharing is off.
+	seed int64
 
-	strategy  string
 	hbTimeout time.Duration
 	norecover bool
 	// lastSeen holds per-node atomic unix-nano receive timestamps;
@@ -80,29 +80,6 @@ type Controller struct {
 
 	sicFn func(q stream.QueryID, now stream.Time, v float64)
 
-	// planCache memoises Submit's local planning step (text and canonical
-	// shape level), invalidated on membership change. Host nodes re-plan
-	// the travelling CQL text themselves through their own caches; under
-	// sharing the controller additionally derives each fragment's
-	// structural subtree key from the cached plan to key the distributed
-	// share index below.
-	planCache *cql.PlanCache
-
-	// sharing selects the networked multi-query sharing mode. shareIdx is
-	// an exact mirror of every host's share index (node index → share key
-	// → members in attach order, members[0] executing): per-connection
-	// sends are ordered and the node's attach/host/promote decisions are
-	// deterministic functions of arrival order, so the controller can
-	// predict every host-side outcome without a round trip. qShare holds
-	// per-query share facts; shareEpoch pins share keys in time — every
-	// pre-Run submission shares epoch 0 (instances are cold until Start,
-	// so attaching is exact), while each post-Start submission and each
-	// recovery event mints a fresh epoch so nothing attaches to an
-	// instance already mid-stream.
-	sharing    federation.Sharing
-	shareIdx   map[int]map[string]*shareGroup
-	qShare     map[stream.QueryID]*queryShare
-	shareEpoch int64
 	// ckptCompat banks the newest checkpoint blob per shape-compatibility
 	// key (shape|frag|rate — the share identity without its epoch pin).
 	// Shared subscribers carry no private state, so their displaced
@@ -127,40 +104,8 @@ type sampleStats struct {
 // deployRecord remembers everything needed to re-issue a query's deploy
 // messages during failure recovery.
 type deployRecord struct {
-	base Deploy // shared descriptor; per-fragment fields unset
-	seed int64  // SourceSeed base (per-fragment: seed + frag)
-}
-
-// shareGroup mirrors one host's shared instance: the queries subscribed
-// under one share key, in attach order. members[0] executes; the rest
-// ride as fan-out subscribers. The node promotes the next subscriber in
-// attach order when the executing query departs, which is exactly
-// members[1] here — the mirror replays the node's decision locally.
-type shareGroup struct {
-	members []stream.QueryID
-}
-
-// queryShare is one query's sharing facts: its structural identity
-// (epoch-free per-fragment subtree keys over the canonical shape), the
-// plan's downstream wiring, and the current share state per fragment —
-// the full key it was deployed under ("" before sharing applies),
-// whether the fragment rides a shared instance or executes, and the
-// last emit bit delivered for riding fragments.
-type queryShare struct {
-	shape    string
-	rate     float64
-	subKeys  []string
-	downs    []int
-	keys     []string
-	attached []bool
-	emits    []bool
-}
-
-// emitFlip is one pending KindShareEmit send: the emit-invariant sweep
-// computes flips under c.mu and delivers them outside it.
-type emitFlip struct {
-	ni int
-	e  *Envelope
+	base  Deploy // shared descriptor; per-fragment fields unset
+	shape string // plan shape key, the root of keyed seeds and compat keys
 }
 
 // nodeFailure is one detected node death, reported to Run.
@@ -190,8 +135,9 @@ type ControllerConfig struct {
 	// STW and Interval mirror the node settings (defaults 10 s / 250 ms).
 	STW      stream.Duration
 	Interval stream.Duration
-	// Seed derives per-deployment source seeds and drives placement
-	// randomness.
+	// Seed drives placement randomness and source seeds: with sharing
+	// off, fragment f of query q draws from Seed+q+1+f; keyed modes hash
+	// it with the fragment's structural identity (federation.Plane).
 	Seed int64
 	// Placement selects the automatic site-assignment strategy used by
 	// AutoPlace and by failure recovery when choosing replacement hosts:
@@ -207,15 +153,14 @@ type ControllerConfig struct {
 	// aborts the run instead of re-placing the dead node's fragments.
 	DisableRecovery bool
 	// Sharing selects the multi-query sharing mode applied across the
-	// networked federation, mirroring federation.EngineConfig.Sharing:
-	// off (default — deploys are byte-for-byte the legacy ones), keyed
-	// (same-shape CQL submissions draw identical source streams, enabling
-	// cross-query checkpoint compatibility), full (same-shape fragments
-	// placed on the same host collapse onto one executing instance with
-	// refcounted fan-out views), or scaled (full, plus instances shared
-	// across rates with the SIC mass converted at the fan-out point).
-	// Sharing applies to CQL submissions; named-workload deploys stay on
-	// the legacy path.
+	// networked federation, as federation.Config.Sharing does for the
+	// engine: off (default — deploys are byte-for-byte the legacy ones),
+	// keyed (same-shape submissions draw identical source streams,
+	// enabling cross-query checkpoint compatibility), full (same-shape
+	// fragments placed on the same host collapse onto one executing
+	// instance with refcounted fan-out views), or scaled (full, plus
+	// instances shared across rates with the SIC mass converted at the
+	// fan-out point).
 	Sharing federation.Sharing
 	// Checkpoint is the operator-state checkpoint cadence: every
 	// Checkpoint of wall clock each host snapshots its fragments and
@@ -243,36 +188,29 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 			hb = 2 * time.Second
 		}
 	}
+	// Reject an unknown placement strategy up front, not at first use.
+	if _, err := federation.NewPlacer(cfg.Placement, 1, 0); err != nil {
+		return nil, err
+	}
 	c := &Controller{
-		coords:    make(map[stream.QueryID]*coordinator.Coordinator),
-		accs:      make(map[stream.QueryID]*sic.Accumulator),
-		sums:      make(map[stream.QueryID]*sampleStats),
-		hosts:     make(map[stream.QueryID][]int),
-		deps:      make(map[stream.QueryID]*deployRecord),
-		qEpochs:   make(map[stream.QueryID]time.Time),
-		finished:  make(map[stream.QueryID]float64),
-		stw:       cfg.STW,
-		ival:      cfg.Interval,
-		ckpt:      cfg.Checkpoint,
-		ckpts:     make(map[peerKey][]byte),
-		seed:      cfg.Seed,
-		strategy:  cfg.Placement,
-		hbTimeout: hb,
-		norecover: cfg.DisableRecovery,
+		plane:      federation.NewPlane(cfg.Sharing, cfg.Placement, cfg.Seed),
+		coords:     make(map[stream.QueryID]*coordinator.Coordinator),
+		accs:       make(map[stream.QueryID]*sic.Accumulator),
+		sums:       make(map[stream.QueryID]*sampleStats),
+		hosts:      make(map[stream.QueryID][]stream.NodeID),
+		deps:       make(map[stream.QueryID]*deployRecord),
+		qEpochs:    make(map[stream.QueryID]time.Time),
+		finished:   make(map[stream.QueryID]float64),
+		stw:        cfg.STW,
+		ival:       cfg.Interval,
+		ckpt:       cfg.Checkpoint,
+		ckpts:      make(map[peerKey][]byte),
+		seed:       cfg.Seed,
+		hbTimeout:  hb,
+		norecover:  cfg.DisableRecovery,
 		fail:       make(chan nodeFailure, 64),
 		statsCh:    make(chan struct{}, 256),
-		planCache:  cql.NewPlanCache(),
-		sharing:    cfg.Sharing,
-		shareIdx:   make(map[int]map[string]*shareGroup),
-		qShare:     make(map[stream.QueryID]*queryShare),
 		ckptCompat: make(map[string][]byte),
-	}
-	if len(nodeAddrs) > 0 {
-		p, err := federation.NewPlacer(cfg.Placement, len(nodeAddrs), cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		c.placer = p
 	}
 	for _, addr := range nodeAddrs {
 		cn, err := dial(addr, "controller", defaultWriteTimeout)
@@ -282,7 +220,7 @@ func NewController(cfg ControllerConfig, nodeAddrs []string) (*Controller, error
 		}
 		c.nodes = append(c.nodes, cn)
 		c.addrs = append(c.addrs, addr)
-		c.dead = append(c.dead, false)
+		c.plane.AddNode()
 		c.lastSeen = append(c.lastSeen, &atomic.Int64{})
 	}
 	return c, nil
@@ -302,14 +240,10 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	idx := len(c.nodes)
 	c.nodes = append(c.nodes, cn)
 	c.addrs = append(c.addrs, addr)
-	c.dead = append(c.dead, false)
+	c.plane.AddNode()
 	ls := &atomic.Int64{}
 	ls.Store(time.Now().UnixNano())
 	c.lastSeen = append(c.lastSeen, ls)
-	c.rebuildPlacerLocked()
-	// Membership changed: conservatively drop cached plans so nothing
-	// planned against the old epoch survives into the new one.
-	c.planCache.Invalidate()
 	// Read running under the same lock Run holds while it snapshots the
 	// connection list and flips running: exactly one of Run and AddNode
 	// starts this connection's read loop, never both and never neither.
@@ -319,36 +253,13 @@ func (c *Controller) AddNode(addr string) (int, error) {
 	}
 	c.mu.Unlock()
 	if running {
-		cn.send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}})
+		cn.send(c.startMsg())
 		go func() {
 			defer c.wg.Done()
 			c.readLoop(idx, cn)
 		}()
 	}
 	return idx, nil
-}
-
-// rebuildPlacerLocked re-derives the automatic placer over the live
-// membership (strategy and seed preserved, round-robin state restarts).
-// Called under c.mu whenever membership changes — joins and deaths —
-// so AutoPlace never assigns fragments to dead nodes.
-func (c *Controller) rebuildPlacerLocked() {
-	alive := 0
-	for i := range c.nodes {
-		if !c.dead[i] {
-			alive++
-		}
-	}
-	if alive == 0 {
-		c.placer = nil
-		return
-	}
-	if p, err := federation.NewPlacer(c.strategy, alive, c.seed); err == nil {
-		c.placer = p
-	}
 }
 
 // NumNodes reports the number of connected node servers (dead ones
@@ -401,77 +312,20 @@ func (c *Controller) OnSIC(fn func(q stream.QueryID, now stream.Time, v float64)
 }
 
 // AutoPlace assigns the given number of fragments to distinct live node
-// indices using the configured placement strategy. The placer draws
-// over the alive membership only; dead nodes never receive fragments.
+// indices using the configured placement strategy; dead nodes never
+// receive fragments.
 func (c *Controller) AutoPlace(fragments int) ([]int, error) {
-	// Place under the lock: Placer.Place mutates the strategy's state
-	// (round-robin cursor, rng), and concurrent mid-run Submits must not
-	// race on it.
 	c.mu.Lock()
-	var alive []int
-	for i := range c.nodes {
-		if !c.dead[i] {
-			alive = append(alive, i)
-		}
-	}
-	if c.placer == nil || len(alive) == 0 {
-		c.mu.Unlock()
-		return nil, errors.New("transport: controller has no live nodes to place on")
-	}
-	ids, err := c.placer.Place(fragments)
+	ids, err := c.plane.Place(fragments)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, len(ids))
 	for i, id := range ids {
-		out[i] = alive[int(id)]
+		out[i] = int(id)
 	}
 	return out, nil
-}
-
-// checkPlacement validates a placement against the connected nodes,
-// mirroring the virtual-time engine's rules (§3: fragments of one query
-// land on distinct nodes). Dead nodes are not valid targets.
-func (c *Controller) checkPlacement(fragments int, placement []int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(placement) != fragments {
-		return fmt.Errorf("transport: placement has %d entries for %d fragments", len(placement), fragments)
-	}
-	seen := make(map[int]bool, len(placement))
-	for _, ni := range placement {
-		if ni < 0 || ni >= len(c.nodes) {
-			return fmt.Errorf("transport: placement names missing node %d (%d connected)", ni, len(c.nodes))
-		}
-		if c.dead[ni] {
-			return fmt.Errorf("transport: placement names dead node %d (%s)", ni, c.addrs[ni])
-		}
-		if seen[ni] {
-			return errors.New("transport: fragments of one query must be placed on distinct nodes")
-		}
-		seen[ni] = true
-	}
-	return nil
-}
-
-// Deploy places a named workload query across the node indices in
-// placement (one fragment per node, fragment i on placement[i]) and
-// returns its query id.
-func (c *Controller) Deploy(workload string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
-	return c.deploy(Deploy{
-		Workload: workload, Fragments: fragments, Dataset: dataset,
-		Rate: rate, Batches: batchesPerSec,
-	}, fragments, placement, nil, "")
-}
-
-// DeployCQL parses and plans a CQL statement, partitions it into the
-// given number of fragments, and places the fragments across the node
-// indices in placement. The statement text travels on the wire; every
-// host node re-plans it deterministically. It is Submit with an
-// explicit placement.
-func (c *Controller) DeployCQL(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
-	return c.Submit(cqlText, fragments, dataset, rate, batchesPerSec, placement)
 }
 
 // Submit makes a query a first-class runtime citizen: it plans the CQL
@@ -479,33 +333,64 @@ func (c *Controller) DeployCQL(cqlText string, fragments, dataset int, rate, bat
 // placement strategy over the live membership when placement is nil)
 // and deploys it — legal both before Run and onto a running federation,
 // where the new fragments start ticking without pausing any other
-// query. The query's measurement epoch starts now: its samples count
-// toward its mean only after its own warmup, and its coordinator
-// registers for result-SIC dissemination immediately.
+// query. The statement text travels on the wire and every host re-plans
+// it deterministically; planning here rejects malformed statements
+// before any node sees them. The query's measurement epoch starts now:
+// its samples count toward its mean only after its own warmup, and its
+// coordinator registers for result-SIC dissemination immediately.
 func (c *Controller) Submit(cqlText string, fragments, dataset int, rate, batchesPerSec float64, placement []int) (stream.QueryID, error) {
-	// Plan locally first: reject malformed statements before any node
-	// sees them, and learn the workload label for results. The plan cache
-	// makes repeat submissions of the same (or same-shaped) text skip the
-	// parse and planning work entirely; plans are read-only templates, so
-	// sharing one across query ids is safe.
-	ds := sources.Dataset(dataset)
-	plan, shape, err := c.planCache.PlanDistributed(cqlText, cql.DefaultCatalog(ds), ds.String(), fragments)
+	c.mu.Lock()
+	plan, shape, err := c.plane.Plan(cqlText, fragments, dataset)
+	if err == nil {
+		err = plan.Validate()
+	}
+	var nodes []stream.NodeID
+	if err == nil && placement == nil {
+		nodes, err = c.plane.Place(plan.NumFragments())
+	} else if err == nil {
+		nodes = make([]stream.NodeID, len(placement))
+		for i, ni := range placement {
+			nodes[i] = stream.NodeID(ni)
+		}
+		err = c.plane.Validate(nodes, plan.NumFragments())
+	}
 	if err != nil {
+		c.mu.Unlock()
 		return 0, err
 	}
-	if err := plan.Validate(); err != nil {
-		return 0, err
+	q := c.nextQ
+	c.nextQ++
+	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
+	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
+	c.sums[q] = &sampleStats{}
+	c.hosts[q] = append([]stream.NodeID(nil), nodes...)
+	rec := &deployRecord{base: Deploy{
+		CQL: cqlText, Fragments: plan.NumFragments(), Dataset: dataset, Rate: rate, Batches: batchesPerSec,
+	}, shape: shape}
+	c.deps[q] = rec
+	c.qEpochs[q] = time.Now()
+	// Pre-Run submissions start cold together and may share instances;
+	// once nodes tick, every instance is warm, so each submission gets a
+	// share epoch of its own.
+	at := int64(0)
+	if c.running.Load() {
+		at = -1
 	}
-	if placement == nil {
-		placement, err = c.AutoPlace(plan.NumFragments())
-		if err != nil {
+	epoch := c.plane.Register(q, shape, rate, plan, at)
+	peers := c.peerMap(nodes)
+	outs := make([]Deploy, len(nodes))
+	for f, nd := range nodes {
+		outs[f] = c.fragDeploy(rec, q, f, peers, c.plane.Attach(q, f, nd, epoch))
+	}
+	conns := append([]*conn(nil), c.nodes...)
+	c.mu.Unlock()
+
+	for f, nd := range nodes {
+		if err := conns[nd].send(&Envelope{Kind: KindDeploy, Deploy: &outs[f]}); err != nil {
 			return 0, err
 		}
 	}
-	return c.deploy(Deploy{
-		CQL: cqlText, Workload: plan.Type, Fragments: plan.NumFragments(), Dataset: dataset,
-		Rate: rate, Batches: batchesPerSec,
-	}, plan.NumFragments(), placement, plan, shape)
+	return q, nil
 }
 
 // Retract tears a running query down mid-run: its hosts drop the
@@ -533,8 +418,8 @@ func (c *Controller) Retract(q stream.QueryID) error {
 	// Mirror the hosts' teardown before the retract frames go out: group
 	// membership shifts (including promotion of the next subscriber to
 	// executing) and the emit invariant is re-derived over what remains.
-	c.dropShareLocked(q, placement)
-	flips := c.shareEmitSweepLocked()
+	c.plane.Drop(q)
+	flips := c.plane.Sweep()
 	delete(c.coords, q)
 	delete(c.accs, q)
 	delete(c.sums, q)
@@ -546,20 +431,16 @@ func (c *Controller) Retract(q stream.QueryID) error {
 			delete(c.ckpts, k)
 		}
 	}
-	placement = append([]int(nil), placement...)
 	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
+	dead := c.plane.Dead()
 	c.mu.Unlock()
 	// Network sends happen outside c.mu; errors are ignored — a host
 	// that cannot be reached is dead or dying, and failure detection
 	// owns that path.
-	seen := make(map[int]bool, len(placement))
-	for _, ni := range placement {
-		if ni < 0 || ni >= len(conns) || dead[ni] || seen[ni] {
-			continue
+	for _, nd := range placement {
+		if !dead[nd] {
+			conns[nd].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 		}
-		seen[ni] = true
-		conns[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 	}
 	// Emit flips ship after the retracts: per-connection ordering then
 	// guarantees a host sees the promotion (retract) before any flip that
@@ -568,250 +449,60 @@ func (c *Controller) Retract(q stream.QueryID) error {
 	return nil
 }
 
-// deploy registers a query's controller-side records and sends one
-// Deploy per fragment. plan and shape are non-nil/non-empty for CQL
-// submissions; with sharing enabled they drive the keyed source seeds
-// and the share-index decisions — attach-vs-host is settled here, under
-// the mirror, and travels to the host as an opaque ShareKey.
-func (c *Controller) deploy(d Deploy, fragments int, placement []int, plan *query.Plan, shape string) (stream.QueryID, error) {
-	if err := c.checkPlacement(fragments, placement); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	q := c.nextQ
-	c.nextQ++
-	c.seed++
-	seed := c.seed
-	c.coords[q] = coordinator.New(q, coordinator.RootMeasured, c.stw, c.ival)
-	c.accs[q] = sic.NewAccumulator(c.stw, c.ival)
-	c.sums[q] = &sampleStats{}
-	peers := make(map[stream.FragID]string, fragments)
-	for f, ni := range placement {
-		peers[stream.FragID(f)] = c.addrs[ni]
-	}
-	c.hosts[q] = append([]int(nil), placement...)
-	c.deps[q] = &deployRecord{base: d, seed: seed}
-	c.qEpochs[q] = time.Now()
-	var qs *queryShare
-	if c.sharing != federation.SharingOff && shape != "" && plan != nil {
-		qs = &queryShare{
-			shape:    shape,
-			rate:     d.Rate,
-			subKeys:  cql.SubtreeKeys(plan, shape),
-			downs:    append([]int(nil), plan.Downstream...),
-			keys:     make([]string, fragments),
-			attached: make([]bool, fragments),
-			emits:    make([]bool, fragments),
-		}
-		c.qShare[q] = qs
-	}
-	epoch := int64(0)
-	if qs != nil && c.running.Load() {
-		c.shareEpoch++
-		epoch = c.shareEpoch
-	}
-	outs := make([]Deploy, fragments)
-	for f, ni := range placement {
-		df := fragDeploy(d, q, stream.FragID(f), peers, seed, c.stw, c.ival, c.ckptMs())
-		if qs != nil {
-			df.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, stream.FragID(f))
-			if c.sharing >= federation.SharingFull {
-				c.applyShareLocked(qs, q, f, ni, epoch, &df)
-			}
-		}
-		outs[f] = df
-	}
-	conns := append([]*conn(nil), c.nodes...)
-	c.mu.Unlock()
-
-	for f, ni := range placement {
-		if err := conns[ni].send(&Envelope{Kind: KindDeploy, Deploy: &outs[f]}); err != nil {
-			return 0, err
-		}
-	}
-	return q, nil
-}
-
-// shareKeyFor mints a fragment's full share key: the structural subtree
-// key plus fragment index, a rate pin under the exact modes (scaled
-// sharing deliberately collapses rates), and the epoch pin.
-func (c *Controller) shareKeyFor(qs *queryShare, f int, epoch int64) string {
-	key := qs.subKeys[f] + "|f" + strconv.Itoa(f)
-	if c.sharing != federation.SharingScaled {
-		key += "|r" + strconv.FormatFloat(qs.rate, 'g', -1, 64)
-	}
-	return key + "|e" + strconv.FormatInt(epoch, 10)
-}
-
-// keyedSourceSeed derives a fragment's source seed from its structural
-// identity instead of its submission order: same-shape (and, except
-// under scaled sharing, same-rate) queries draw identical streams, which
-// is what makes one query's execution — and its checkpoints — valid for
-// another. Named-workload deploys and SharingOff keep the legacy
-// per-query seeds.
-func keyedSourceSeed(shape string, rate float64, scaled bool, f stream.FragID) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, shape)
-	if !scaled {
-		io.WriteString(h, "|r"+strconv.FormatFloat(rate, 'g', -1, 64))
-	}
-	io.WriteString(h, "|f"+strconv.Itoa(int(f)))
-	return int64(h.Sum64() & (1<<63 - 1))
-}
-
-// applyShareLocked settles attach-vs-host for one fragment deploy
-// against the mirror. Every sharing-eligible deploy carries its key (the
-// first under a key becomes the host's registered dedup target); a
-// deploy finding an existing group attaches instead — riding the
-// instance with an emit bit per the invariant (emit iff the query's own
-// downstream fragment executes privately) and, under scaled sharing,
-// the Eq. (1) conversion factor primaryRate/riderRate. deploy processes
-// fragments in ascending order and Downstream[f] < f, so the downstream
-// attach decision this reads is always already made. Callers hold c.mu.
-func (c *Controller) applyShareLocked(qs *queryShare, q stream.QueryID, f, ni int, epoch int64, df *Deploy) {
-	key := c.shareKeyFor(qs, f, epoch)
-	idx := c.shareIdx[ni]
-	if idx == nil {
-		idx = make(map[string]*shareGroup)
-		c.shareIdx[ni] = idx
-	}
-	df.ShareKey = key
-	qs.keys[f] = key
-	g := idx[key]
-	if g == nil || len(g.members) == 0 {
-		idx[key] = &shareGroup{members: []stream.QueryID{q}}
-		qs.emits[f] = true // executes privately; kept coherent for sweeps
-		return
-	}
-	qs.attached[f] = true
-	down := qs.downs[f]
-	emit := down < 0 || !qs.attached[down]
-	qs.emits[f] = emit
-	df.ShareEmit = emit
-	if c.sharing == federation.SharingScaled && qs.rate > 0 {
-		if pqs := c.qShare[g.members[0]]; pqs != nil && pqs.rate > 0 {
-			df.ShareScale = pqs.rate / qs.rate
-		}
-	}
-	g.members = append(g.members, q)
-}
-
-// dropShareLocked removes a departing query from every share group it
-// belongs to, mirroring the node-side teardown: removing a subscriber
-// just detaches it, removing the executing member promotes the next in
-// attach order (the node hands the instance over in the same order —
-// the promoted query's fragment flips from riding to executing here),
-// and an emptied group disappears with its instance. Callers hold c.mu
-// and pass the query's placement, which must still be live.
-func (c *Controller) dropShareLocked(q stream.QueryID, placement []int) {
-	qs := c.qShare[q]
-	if qs == nil {
-		return
-	}
-	for f, key := range qs.keys {
-		if key == "" || f >= len(placement) {
-			continue
-		}
-		idx := c.shareIdx[placement[f]]
-		g := idx[key]
-		if g == nil {
-			continue
-		}
-		for i, m := range g.members {
-			if m != q {
-				continue
-			}
-			wasPrimary := i == 0
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			if len(g.members) == 0 {
-				delete(idx, key)
-			} else if wasPrimary {
-				if nqs := c.qShare[g.members[0]]; nqs != nil && f < len(nqs.attached) {
-					nqs.attached[f] = false
-				}
-			}
-			break
-		}
-	}
-	delete(c.qShare, q)
-}
-
-// shareEmitSweepLocked re-derives every subscription's emit bit from the
-// mirror — emit iff the subscriber's downstream fragment executes
-// privately — and returns the flips to deliver. Retract and recovery
-// call it after mutating the mirror; promotion is the interesting case
-// (a promoted query's upstream subscriptions must start feeding the
-// instance it now executes). Callers hold c.mu; sends happen outside.
-func (c *Controller) shareEmitSweepLocked() []emitFlip {
-	var flips []emitFlip
-	for q, qs := range c.qShare {
-		placement := c.hosts[q]
-		for f := range qs.keys {
-			if !qs.attached[f] || f >= len(placement) {
-				continue
-			}
-			down := qs.downs[f]
-			want := down < 0 || !qs.attached[down]
-			if want == qs.emits[f] {
-				continue
-			}
-			qs.emits[f] = want
-			flips = append(flips, emitFlip{placement[f], &Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
-				Query: q, Frag: stream.FragID(f), Emit: want,
-			}}})
-		}
-	}
-	return flips
-}
-
-// sendEmitFlips delivers pending emit updates; dead hosts are skipped —
-// failure detection owns that path and recovery re-derives the bits.
-func (c *Controller) sendEmitFlips(flips []emitFlip) {
+// sendEmitFlips delivers the plane's emit-invariant sweep as share_emit
+// frames; dead hosts are skipped — failure detection owns that path and
+// recovery re-derives the bits.
+func (c *Controller) sendEmitFlips(flips []federation.EmitFlip) {
 	if len(flips) == 0 {
 		return
 	}
 	c.mu.Lock()
 	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
+	dead := c.plane.Dead()
 	c.mu.Unlock()
 	for _, fl := range flips {
-		if fl.ni < 0 || fl.ni >= len(conns) || dead[fl.ni] {
-			continue
+		if !dead[fl.Node] {
+			conns[fl.Node].send(&Envelope{Kind: KindShareEmit, ShareEmit: &ShareEmitMsg{
+				Query: fl.Query, Frag: fl.Frag, Emit: fl.Emit,
+			}})
 		}
-		conns[fl.ni].send(fl.e)
 	}
 }
 
-// compatCkptKey is the shape-compatibility identity of a fragment's
-// checkpointed state: the share key without its epoch pin, empty when
-// the query has no shape or sharing is off. Mirrors the virtual-time
-// engine's compat keys (federation/checkpoint.go).
-func (c *Controller) compatCkptKey(qs *queryShare, f int) string {
-	if qs == nil || qs.shape == "" || c.sharing == federation.SharingOff {
-		return ""
+// peerMap maps every fragment of a query to its host's address.
+func (c *Controller) peerMap(placement []stream.NodeID) map[stream.FragID]string {
+	peers := make(map[stream.FragID]string, len(placement))
+	for f, nd := range placement {
+		peers[stream.FragID(f)] = c.addrs[nd]
 	}
-	key := qs.shape + "|f" + strconv.Itoa(f)
-	if c.sharing != federation.SharingScaled {
-		key += "|r" + strconv.FormatFloat(qs.rate, 'g', -1, 64)
-	}
-	return key
+	return peers
 }
 
-// fragDeploy specialises a query's shared deploy descriptor for one
-// fragment. Source seeds and ids are pure functions of (query, fragment)
-// so a recovery re-deploy reconstructs the displaced fragment's sources
-// exactly as the original deploy did.
-func fragDeploy(d Deploy, q stream.QueryID, f stream.FragID, peers map[stream.FragID]string,
-	seed int64, stw, ival stream.Duration, ckptMs int64) Deploy {
-	d.Query = q
-	d.Frag = f
-	d.Peers = peers
-	d.SourceSeed = seed + int64(f)
-	d.FirstSourceID = stream.SourceID(int(q)*1000 + 100*int(f))
-	d.STWMs = int64(stw)
-	d.IntervalMs = int64(ival)
-	d.CheckpointMs = ckptMs
+// fragDeploy specialises a query's deploy record for fragment f under
+// the plane's share decision. Source seeds and ids are pure functions of
+// (query, fragment) — or, under keyed sharing, of the fragment's
+// structural identity — so a recovery re-deploy reconstructs the
+// displaced fragment's sources exactly as the original deploy did.
+// Callers hold c.mu.
+func (c *Controller) fragDeploy(rec *deployRecord, q stream.QueryID, f int, peers map[stream.FragID]string, sh federation.Share) Deploy {
+	d := rec.base
+	d.Query, d.Frag, d.Peers = q, stream.FragID(f), peers
+	d.SourceSeed = c.seed + int64(q) + 1 + int64(f)
+	if seed, ok := c.plane.KeyedSeed(rec.shape, d.Rate, f); ok {
+		d.SourceSeed = seed
+	}
+	d.FirstSourceID = stream.SourceID(int(q)*1000 + 100*f)
+	d.STWMs, d.IntervalMs, d.CheckpointMs = int64(c.stw), int64(c.ival), c.ckptMs()
+	d.ShareKey, d.ShareEmit, d.ShareScale = sh.Key, sh.Emit, sh.Scale
 	return d
+}
+
+// startMsg is the Start frame a node (re-)joining the run receives.
+func (c *Controller) startMsg() *Envelope {
+	return &Envelope{Kind: KindStart, Start: &Start{
+		IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
+		RunOffsetMs: c.runOffsetMs(),
+	}}
 }
 
 // ckptMs is the checkpoint cadence in wall-clock milliseconds (zero when
@@ -853,10 +544,7 @@ func (c *Controller) Run(duration, warmup time.Duration) (*NetResults, error) {
 	c.mu.Unlock()
 	defer c.running.Store(false)
 	for _, n := range conns {
-		if err := n.send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}}); err != nil {
+		if err := n.send(c.startMsg()); err != nil {
 			c.CloseAll()
 			return nil, err
 		}
@@ -891,7 +579,7 @@ loop:
 			type bcast struct {
 				q     stream.QueryID
 				v     float64
-				hosts []int
+				hosts []stream.NodeID
 			}
 			var outs []bcast
 			c.mu.Lock()
@@ -899,7 +587,7 @@ loop:
 				v := coord.Value(now)
 				// Recovery rewrites host slices in place, so copy them
 				// for use outside the lock below.
-				outs = append(outs, bcast{q, v, append([]int(nil), c.hosts[q]...)})
+				outs = append(outs, bcast{q, v, append([]stream.NodeID(nil), c.hosts[q]...)})
 				coord.NoteUpdateSent(len(c.hosts[q]))
 				// Per-query SIC epoch: samples count from the query's own
 				// deploy time plus warmup, so a mid-run submission's mean
@@ -916,7 +604,7 @@ loop:
 				}
 			}
 			conns := append([]*conn(nil), c.nodes...)
-			dead := append([]bool(nil), c.dead...)
+			dead := c.plane.Dead()
 			c.mu.Unlock()
 			// Network writes happen outside c.mu: a node with a full TCP
 			// send buffer must not stall readLoop's report ingestion.
@@ -979,8 +667,8 @@ drain:
 	c.stopping.Store(true)
 	c.mu.Lock()
 	alive := 0
-	for i := range c.nodes {
-		if !c.dead[i] {
+	for _, d := range c.plane.Dead() {
+		if !d {
 			alive++
 		}
 	}
@@ -1019,7 +707,7 @@ func (c *Controller) checkHeartbeats() {
 	c.mu.Lock()
 	var late []nodeFailure
 	for i := range c.nodes {
-		if !c.dead[i] && c.lastSeen[i].Load() < cutoff {
+		if c.plane.Alive(stream.NodeID(i)) && c.lastSeen[i].Load() < cutoff {
 			late = append(late, nodeFailure{i, errMissedHeartbeat})
 		}
 	}
@@ -1039,55 +727,30 @@ func (c *Controller) checkHeartbeats() {
 // detection race benignly.
 func (c *Controller) handleFailure(f nodeFailure) error {
 	c.mu.Lock()
-	if f.idx < 0 || f.idx >= len(c.nodes) || c.dead[f.idx] {
+	dead := stream.NodeID(f.idx)
+	if !c.plane.Alive(dead) {
 		c.mu.Unlock()
 		return nil
 	}
-	c.dead[f.idx] = true
-	c.rebuildPlacerLocked()
-	c.planCache.Invalidate()
+	epoch := c.plane.Kill(dead)
 	deadAddr := c.addrs[f.idx]
 	cn := c.nodes[f.idx]
 	var affected []stream.QueryID
 	for q, placement := range c.hosts {
-		for _, ni := range placement {
-			if ni == f.idx {
-				affected = append(affected, q)
-				break
-			}
+		if slices.Contains(placement, dead) {
+			affected = append(affected, q)
 		}
 	}
-	// The dead node's share groups die with it: every member's fragment
-	// there is displaced (its placement entry names the dead node, so the
-	// loop above already collected it) and gets re-keyed under a fresh
-	// recovery epoch below — co-displaced same-shape fragments re-share
-	// when the placer lands them together, and never attach to a live
-	// warm instance elsewhere.
-	for key, g := range c.shareIdx[f.idx] {
-		for _, m := range g.members {
-			if qs := c.qShare[m]; qs != nil {
-				for fi, k := range qs.keys {
-					if k == key {
-						qs.keys[fi] = ""
-						qs.attached[fi] = false
-					}
-				}
-			}
-		}
-	}
-	delete(c.shareIdx, f.idx)
-	c.shareEpoch++
-	recoveryEpoch := c.shareEpoch
 	c.mu.Unlock()
 	cn.Close() // sever, so a half-dead node stops feeding us reports
 	if c.norecover {
 		return fmt.Errorf("node %s: %w", deadAddr, f.err)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 	start := time.Now()
 	restored := len(affected) > 0
 	for _, q := range affected {
-		warm, err := c.replaceFragments(q, f.idx, recoveryEpoch)
+		warm, err := c.replaceFragments(q, dead, epoch)
 		if err != nil {
 			return fmt.Errorf("node %s: %v: %w", deadAddr, f.err, err)
 		}
@@ -1102,23 +765,23 @@ func (c *Controller) handleFailure(f nodeFailure) error {
 	// Re-placement may have turned riders into private executors (or new
 	// primaries into attach targets); restore the emit invariant over the
 	// surviving topology.
-	flips := c.shareEmitSweepLocked()
+	flips := c.plane.Sweep()
 	c.mu.Unlock()
 	c.sendEmitFlips(flips)
 	return nil
 }
 
 // replaceFragments re-places query q's fragments that were hosted on the
-// dead node: replacement hosts are chosen with the configured placement
-// strategy over the surviving membership (alive nodes not already
-// hosting the query), the displaced fragments are re-deployed there —
-// each host re-plans the travelling CQL text deterministically, so the
-// new host derives the exact fragment the dead one ran — and every
-// surviving host is rewired to the new peer map. The query's SIC
-// accounting resets at this recovery epoch: accepted/result accumulators
-// and the run's sample sums restart, so the reported mean describes the
-// post-recovery pipeline instead of blending two incomparable regimes.
-func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int64) (restored bool, err error) {
+// dead node onto the hosts the plane picks (Plane.Recover), under the
+// recovery epoch: each host re-plans the travelling CQL text
+// deterministically, so the new host derives the exact fragment the dead
+// one ran, and every surviving host is rewired to the new peer map.
+// Unless every re-placed fragment restores from a banked checkpoint, the
+// query's SIC accounting resets at this recovery epoch: accepted/result
+// accumulators and the run's sample sums restart, so the reported mean
+// describes the post-recovery pipeline instead of blending two
+// incomparable regimes.
+func (c *Controller) replaceFragments(q stream.QueryID, dead stream.NodeID, epoch int64) (restored bool, err error) {
 	c.mu.Lock()
 	placement := c.hosts[q]
 	rec := c.deps[q]
@@ -1130,117 +793,40 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 		c.mu.Unlock()
 		return true, nil
 	}
-	var displaced []int
-	used := make(map[int]bool, len(placement))
-	for f, ni := range placement {
-		if ni == deadIdx {
-			displaced = append(displaced, f)
-		} else {
-			used[ni] = true
-		}
-	}
-	var candidates []int
-	for ni := range c.nodes {
-		if !c.dead[ni] && !used[ni] {
-			candidates = append(candidates, ni)
-		}
-	}
-	if len(candidates) < len(displaced) {
-		c.mu.Unlock()
-		return false, fmt.Errorf("transport: query %d: %d fragments displaced, %d candidate survivors",
-			q, len(displaced), len(candidates))
-	}
-	placer, err := federation.NewPlacer(c.strategy, len(candidates), c.seed+int64(q))
+	displaced, err := c.plane.Recover(q, placement, dead)
 	if err != nil {
 		c.mu.Unlock()
 		return false, err
 	}
-	picked, err := placer.Place(len(displaced))
-	if err != nil {
-		c.mu.Unlock()
-		return false, err
-	}
-	picks := make([]int, len(displaced))
-	for i, p := range picked {
-		picks[i] = candidates[p]
-		placement[displaced[i]] = candidates[p]
-	}
-	peers := make(map[stream.FragID]string, len(placement))
-	for f, ni := range placement {
-		peers[stream.FragID(f)] = c.addrs[ni]
-	}
-	// Share-aware re-placement: each displaced fragment is re-keyed under
-	// the recovery epoch and settled against the mirror on its new host —
-	// co-displaced same-shape members that land together re-share (the
-	// lowest-numbered query recovers first and becomes the new target),
-	// everyone else re-deploys privately. Displaced fragments come out of
-	// the placement scan ascending, so a fragment's downstream attach
-	// state is settled before its own emit bit is derived.
-	qs := c.qShare[q]
-	type shareDecision struct {
-		key    string
-		attach bool
-		emit   bool
-		scale  float64
-	}
-	decisions := make([]shareDecision, len(displaced))
-	if qs != nil && c.sharing >= federation.SharingFull {
-		for i, f := range displaced {
-			ni := picks[i]
-			key := c.shareKeyFor(qs, f, repoch)
-			idx := c.shareIdx[ni]
-			if idx == nil {
-				idx = make(map[string]*shareGroup)
-				c.shareIdx[ni] = idx
-			}
-			qs.keys[f] = key
-			dec := shareDecision{key: key}
-			if g := idx[key]; g != nil && len(g.members) > 0 {
-				dec.attach = true
-				qs.attached[f] = true
-				down := qs.downs[f]
-				dec.emit = down < 0 || !qs.attached[down]
-				qs.emits[f] = dec.emit
-				if c.sharing == federation.SharingScaled && qs.rate > 0 {
-					if pqs := c.qShare[g.members[0]]; pqs != nil && pqs.rate > 0 {
-						dec.scale = pqs.rate / qs.rate
-					}
-				}
-				g.members = append(g.members, q)
-			} else {
-				idx[key] = &shareGroup{members: []stream.QueryID{q}}
-				qs.attached[f] = false
-				qs.emits[f] = true
-			}
-			decisions[i] = dec
-		}
-	}
-	// With checkpointing on and a blob banked for every displaced
-	// fragment, recovery restores warm state: the blobs ship to the new
-	// hosts after their deploys below, and the query's SIC accounting
-	// carries straight through the failure — no recovery epoch. A node-
-	// side restore failure (stale or corrupt blob) degrades that query's
-	// dip to roughly the legacy one; the blob's checksum and plan tags
-	// make the failure clean either way. Fragments that re-attach to a
-	// live instance are warm by construction (the executing query's state
-	// covers them); fragments that never checkpointed privately — shared
-	// subscribers — fall back to a shape-compatible query's blob, which
-	// keyed source seeding makes exchangeable.
+	placement = slices.Clone(placement)
+	peers := c.peerMap(placement)
+	// Each displaced fragment is settled against the share mirror on its
+	// new host: co-displaced same-shape members that land together
+	// re-share (the lowest-numbered query recovers first and becomes the
+	// target), everyone else re-deploys privately. With checkpointing on
+	// and a blob banked for every displaced fragment that executes,
+	// recovery restores warm state: the blobs ship to the new hosts after
+	// their deploys below, and the query's SIC accounting carries straight
+	// through the failure. A fragment that attaches to a live instance
+	// needs no blob — the instance is its state; one that never
+	// checkpointed privately (a former rider) falls back to a
+	// shape-compatible query's blob, which keyed source seeding makes
+	// exchangeable. A node-side restore failure (stale or corrupt blob)
+	// degrades that query's dip to roughly the legacy one.
 	restoring := c.ckpt > 0
+	outs := make([]Deploy, len(displaced))
 	blobs := make([][]byte, len(displaced))
 	for i, f := range displaced {
-		if decisions[i].attach {
+		sh := c.plane.Attach(q, f, placement[f], epoch)
+		outs[i] = c.fragDeploy(rec, q, f, peers, sh)
+		if sh.Attach || !restoring {
 			continue
 		}
 		blob, ok := c.ckpts[peerKey{q, stream.FragID(f)}]
 		if !ok {
-			blob, ok = c.ckptCompat[c.compatCkptKey(qs, f)]
+			blob, ok = c.ckptCompat[c.plane.CompatKey(rec.shape, rec.base.Rate, f)]
 		}
-		if !ok {
-			restoring = false
-			break
-		}
-		blobs[i] = blob
+		restoring, blobs[i] = ok, blob
 	}
 	if !restoring {
 		// Recovery epoch: wipe pre-failure SIC state so post-recovery
@@ -1256,37 +842,23 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 			c.sums[q] = &sampleStats{}
 		}
 	}
-	base, seed := rec.base, rec.seed
 	conns := append([]*conn(nil), c.nodes...)
-	dead := append([]bool(nil), c.dead...)
-	addrs := append([]string(nil), c.addrs...)
+	deadNodes := c.plane.Dead()
 	c.mu.Unlock()
 
 	// Re-deploy the displaced fragments and (re-)start their hosts — an
 	// idle spare begins ticking here; handleStart is idempotent on nodes
 	// already running.
 	for i, f := range displaced {
-		d := fragDeploy(base, q, stream.FragID(f), peers, seed, c.stw, c.ival, c.ckptMs())
-		if qs != nil {
-			d.SourceSeed = keyedSourceSeed(qs.shape, qs.rate, c.sharing == federation.SharingScaled, stream.FragID(f))
-			d.ShareKey = decisions[i].key
-			if decisions[i].attach {
-				d.ShareEmit = decisions[i].emit
-				d.ShareScale = decisions[i].scale
-			}
+		host := conns[placement[f]]
+		if err := host.send(&Envelope{Kind: KindDeploy, Deploy: &outs[i]}); err != nil {
+			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", f, peers[stream.FragID(f)], err)
 		}
-		if err := conns[picks[i]].send(&Envelope{Kind: KindDeploy, Deploy: &d}); err != nil {
-			return false, fmt.Errorf("transport: re-deploy fragment %d on %s: %w", f, addrs[picks[i]], err)
-		}
-		conns[picks[i]].send(&Envelope{Kind: KindStart, Start: &Start{
-			IntervalMs: int64(c.ival), STWMs: int64(c.stw), CheckpointMs: c.ckptMs(),
-			RunOffsetMs: c.runOffsetMs(),
-		}})
+		host.send(c.startMsg())
 		if restoring && blobs[i] != nil {
 			// Per-connection sends are ordered, so the restore lands
-			// after the deploy that builds its target executor. Attaching
-			// fragments get no blob — the live instance is their state.
-			conns[picks[i]].send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{
+			// after the deploy that builds its target executor.
+			host.send(&Envelope{Kind: KindRestoreState, Restore: &RestoreStateMsg{
 				Query: q, Frag: stream.FragID(f), State: blobs[i],
 			}})
 		}
@@ -1294,11 +866,10 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	// Rewire every surviving host of the query. The new hosts' deploys
 	// already carried the updated peer map; the redundant rewire is
 	// harmless and keeps the fan-out simple.
-	for _, ni := range placement {
-		if dead[ni] {
-			continue
+	for _, nd := range placement {
+		if !deadNodes[nd] {
+			conns[nd].send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
 		}
-		conns[ni].send(&Envelope{Kind: KindRewire, Rewire: &Rewire{Query: q, Peers: peers}})
 	}
 	// A retract that slipped in while the re-deploys were on the wire
 	// would leave the fresh fragments as zombies on their new hosts:
@@ -1308,9 +879,9 @@ func (c *Controller) replaceFragments(q stream.QueryID, deadIdx int, repoch int6
 	_, stillDeployed := c.deps[q]
 	c.mu.Unlock()
 	if !stillDeployed {
-		for _, ni := range placement {
-			if !dead[ni] {
-				conns[ni].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
+		for _, nd := range placement {
+			if !deadNodes[nd] {
+				conns[nd].send(&Envelope{Kind: KindRetract, Retract: &Retract{Query: q}})
 			}
 		}
 	}
@@ -1378,17 +949,15 @@ func (c *Controller) readLoop(idx int, n *conn) {
 			// Keep the newest blob per fragment, and only for queries
 			// still deployed — a checkpoint racing a retract must not
 			// resurrect the query's state map entry.
-			if _, ok := c.deps[ck.Query]; ok {
+			if rec := c.deps[ck.Query]; rec != nil {
 				c.ckpts[peerKey{ck.Query, ck.Frag}] = ck.State
 				// Bank the blob under its shape-compatibility key too:
 				// displaced shared subscribers (which never checkpoint
 				// privately) restore from here. Keys are shapes, not
 				// queries, so the bank stays bounded by workload
 				// diversity rather than churn volume.
-				if qs := c.qShare[ck.Query]; qs != nil {
-					if key := c.compatCkptKey(qs, int(ck.Frag)); key != "" {
-						c.ckptCompat[key] = ck.State
-					}
+				if key := c.plane.CompatKey(rec.shape, rec.base.Rate, int(ck.Frag)); key != "" {
+					c.ckptCompat[key] = ck.State
 				}
 			}
 			c.mu.Unlock()

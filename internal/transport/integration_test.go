@@ -2,6 +2,8 @@ package transport
 
 import (
 	"math"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +72,7 @@ func TestDistributedCQLEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, placement)
+	q, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestStopWaitsForStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctrl.Deploy("AVG-all", 2, 1, 60, 4, []int{0, 1}); err != nil {
+		if _, err := ctrl.Submit(avgAllCQL, 2, 1, 60, 4, []int{0, 1}); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
@@ -194,7 +196,7 @@ func TestRunSurfacesNodeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.CloseAll()
-	if _, err := ctrl.Deploy("AVG-all", 2, 1, 60, 4, []int{0, 1}); err != nil {
+	if _, err := ctrl.Submit(avgAllCQL, 2, 1, 60, 4, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,13 +227,13 @@ func TestDeployCQLValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.CloseAll()
-	if _, err := ctrl.DeployCQL("Select Nope(", 1, 0, 10, 1, []int{0}); err == nil {
+	if _, err := ctrl.Submit("Select Nope(", 1, 0, 10, 1, []int{0}); err == nil {
 		t.Error("malformed CQL accepted")
 	}
-	if _, err := ctrl.DeployCQL("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 0}); err == nil {
+	if _, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 0}); err == nil {
 		t.Error("duplicate placement accepted")
 	}
-	if _, err := ctrl.DeployCQL("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 7}); err == nil {
+	if _, err := ctrl.Submit("Select Avg(t.v) From Src[Range 1 sec]", 2, 0, 10, 1, []int{0, 7}); err == nil {
 		t.Error("out-of-range placement accepted")
 	}
 	if _, err := ctrl.AutoPlace(3); err == nil {
@@ -239,5 +241,67 @@ func TestDeployCQLValidation(t *testing.T) {
 	}
 	if p, err := ctrl.AutoPlace(2); err != nil || len(p) != 2 || p[0] == p[1] {
 		t.Errorf("AutoPlace: %v %v", p, err)
+	}
+}
+
+// TestDeployFramesSharingOff pins the legacy deploy frames: with sharing
+// off, fragment f of query q carries SourceSeed Seed+q+1+f, source ids
+// from q*1000+100f, the full peer map and no share fields — byte-for-byte
+// what pre-sharing controllers sent.
+func TestDeployFramesSharingOff(t *testing.T) {
+	const seed = 5
+	var addrs []string
+	frames := make(chan *Deploy, 16)
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs = append(addrs, ln.Addr().String())
+		go func() { // a fake node: forward every deploy, answer nothing
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			fr := newFrameReader(nc)
+			for {
+				e, _, err := fr.next()
+				if err != nil {
+					return
+				}
+				if e != nil && e.Kind == KindDeploy {
+					frames <- e.Deploy
+				}
+			}
+		}()
+	}
+	ctrl, err := NewController(ControllerConfig{Seed: seed}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.CloseAll()
+	for _, placement := range [][]int{{0, 1}, {1, 0}} {
+		if _, err := ctrl.Submit(avgAllCQL, 2, 1, 20, 4, placement); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[peerKey]*Deploy)
+	for len(got) < 4 {
+		select {
+		case d := <-frames:
+			got[peerKey{d.Query, d.Frag}] = d
+		case <-time.After(5 * time.Second):
+			t.Fatalf("received %d of 4 deploy frames", len(got))
+		}
+	}
+	for k, d := range got {
+		q, f := int64(k.q), int64(k.f)
+		wantPeers := map[stream.FragID]string{0: addrs[q], 1: addrs[1-q]}
+		if d.SourceSeed != seed+q+1+f || d.FirstSourceID != stream.SourceID(q*1000+100*f) ||
+			!reflect.DeepEqual(d.Peers, wantPeers) || d.ShareKey != "" || d.ShareEmit || d.ShareScale != 0 {
+			t.Errorf("query %d frag %d: deploy %+v", q, f, d)
+		}
 	}
 }

@@ -50,11 +50,11 @@ func TestLiveQueryChurnEndToEnd(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qB, err := ctrl.DeployCQL(cqlText, frags, dataset, rate, batches, []int{2, 3})
+	qB, err := ctrl.Submit(cqlText, frags, dataset, rate, batches, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSubmitAfterNodeFailure(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, 2, 1, 20, 4, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSubmitAfterNodeFailure(t *testing.T) {
 		t.Fatal("post-failure submit never completed")
 	}
 	ctrl.mu.Lock()
-	placement := append([]int(nil), ctrl.hosts[gotB]...)
+	placement := append([]stream.NodeID(nil), ctrl.hosts[gotB]...)
 	ctrl.mu.Unlock()
 	if len(placement) != 2 {
 		t.Fatalf("submitted query placed on %v", placement)
@@ -290,7 +290,7 @@ func TestRetractRacesRecovery(t *testing.T) {
 	}
 	defer ctrl.CloseAll()
 
-	qA, err := ctrl.DeployCQL(cqlText, 2, 1, 20, 4, []int{0, 1})
+	qA, err := ctrl.Submit(cqlText, 2, 1, 20, 4, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,21 +86,17 @@ type Hello struct {
 }
 
 // Deploy instructs a node to host one fragment of a query. Plans cannot
-// travel as code, so the query is named: either CQL carries the statement
-// text, re-parsed and re-planned identically on every host node, or
-// Workload names a Table 1 builder. Fragments + Dataset complete the
-// reconstruction.
+// travel as code, so CQL carries the statement text, re-parsed and
+// re-planned identically on every host node; Fragments + Dataset
+// complete the reconstruction.
 type Deploy struct {
-	Query stream.QueryID `json:"query"`
-	Frag  stream.FragID  `json:"frag"`
-	// CQL is the statement text of an ad-hoc query; when set it takes
-	// precedence over Workload.
-	CQL       string  `json:"cql,omitempty"`
-	Workload  string  `json:"workload"` // AVG-all | TOP-5 | COV | AVG | MAX | COUNT
-	Fragments int     `json:"fragments"`
-	Dataset   int     `json:"dataset"`
-	Rate      float64 `json:"rate"`
-	Batches   float64 `json:"batches_per_sec"`
+	Query     stream.QueryID `json:"query"`
+	Frag      stream.FragID  `json:"frag"`
+	CQL       string         `json:"cql,omitempty"`
+	Fragments int            `json:"fragments"`
+	Dataset   int            `json:"dataset"`
+	Rate      float64        `json:"rate"`
+	Batches   float64        `json:"batches_per_sec"`
 	// Peers maps every fragment of the query to the address of its host
 	// node, so derived batches can be routed directly site-to-site.
 	Peers map[stream.FragID]string `json:"peers"`

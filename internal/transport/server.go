@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cql"
+	"repro/internal/federation"
 	"repro/internal/node"
 	"repro/internal/query"
 	"repro/internal/sources"
@@ -290,30 +291,15 @@ func (s *NodeServer) enqueue(b *stream.Batch) {
 	b.Release()
 }
 
-// buildPlan reconstructs a query plan from its wire descriptor: CQL text
-// is re-parsed and re-planned (deterministically, so every host node
-// derives the same fragment layout), named workloads go through the
-// Table 1 builders. CQL planning goes through the server's plan cache:
-// under multi-query sharing the same statement shape arrives once per
-// subscriber, and only the first pays the parse.
+// buildPlan reconstructs a query plan from its wire descriptor: the CQL
+// text is re-parsed and re-planned (deterministically, so every host
+// node derives the same fragment layout) through the server's plan
+// cache: under multi-query sharing the same statement shape arrives once
+// per subscriber, and only the first pays the parse.
 func (s *NodeServer) buildPlan(d *Deploy) (*query.Plan, error) {
 	ds := sources.Dataset(d.Dataset)
-	if d.CQL != "" {
-		plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
-		return plan, err
-	}
-	switch d.Workload {
-	case "AVG-all":
-		return query.NewAvgAll(d.Fragments, ds), nil
-	case "TOP-5":
-		return query.NewTop5(d.Fragments, ds), nil
-	case "COV":
-		return query.NewCov(d.Fragments, ds), nil
-	case "AVG":
-		return query.NewAggregate(0, ds), nil // operator.AggAvg
-	default:
-		return nil, fmt.Errorf("unknown workload %q", d.Workload)
-	}
+	plan, _, err := s.plans.PlanDistributed(d.CQL, cql.DefaultCatalog(ds), ds.String(), d.Fragments)
+	return plan, err
 }
 
 func (s *NodeServer) handleDeploy(d *Deploy) error {
@@ -359,17 +345,10 @@ func (s *NodeServer) handleDeploy(d *Deploy) error {
 	for f, addr := range d.Peers {
 		s.peers[peerKey{d.Query, f}] = addr
 	}
-	rng := rand.New(rand.NewSource(d.SourceSeed))
-	sid := d.FirstSourceID
-	// Query-global generator indices: the virtual-time engine and a
-	// recovery re-deploy derive the same identities from the same rule.
-	genIdx := plan.SourceIndexOffset(int(d.Frag))
-	for i, ss := range fp.Sources {
-		gen := ss.NewGen(rand.New(rand.NewSource(rng.Int63())), genIdx+i)
-		src := sources.New(sid, d.Query, d.Frag, ss.Port, d.Rate, d.Batches, ss.Arity, gen, rng.Int63())
-		sid++
-		s.nd.AttachSource(src)
-	}
+	// The virtual-time engine attaches its sources with the same helper,
+	// so a recovery re-deploy and the engine derive identical sources.
+	federation.AttachSources(s.nd, d.Query, plan, int(d.Frag), rand.New(rand.NewSource(d.SourceSeed)),
+		d.FirstSourceID, d.Rate, d.Batches, nil)
 	return nil
 }
 

@@ -257,11 +257,7 @@ func TestNetworkedSharingRetractDrainsState(t *testing.T) {
 	}
 	// Controller mirror drained too.
 	ctrl.mu.Lock()
-	groups := 0
-	for _, idx := range ctrl.shareIdx {
-		groups += len(idx)
-	}
-	qshares := len(ctrl.qShare)
+	groups, qshares := ctrl.plane.MirrorSize()
 	ctrl.mu.Unlock()
 	if groups != 0 || qshares != 0 {
 		t.Errorf("controller mirror holds %d groups, %d query records after full retract", groups, qshares)

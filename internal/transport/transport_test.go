@@ -33,24 +33,16 @@ func TestBatchMsgRoundTrip(t *testing.T) {
 	}
 }
 
+// Table 1 statements (internal/cql/shape_test.go) the transport tests
+// deploy: AVG over all sources, and AVG over a single source.
+const (
+	avgAllCQL = "Select Avg(t.v) From AllSrc[Range 1 sec]"
+	avgCQL    = "Select Avg(t.v) From Src[Range 1 sec]"
+)
+
 func TestBuildPlanNames(t *testing.T) {
 	s := &NodeServer{plans: cql.NewPlanCache()}
-	for _, w := range []string{"AVG-all", "TOP-5", "COV", "AVG"} {
-		frags := 2
-		if w == "AVG" {
-			// Single-fragment only; 2 fragments is still built with 1.
-			frags = 1
-		}
-		p, err := s.buildPlan(&Deploy{Workload: w, Fragments: frags})
-		if err != nil || p == nil {
-			t.Errorf("%s: %v", w, err)
-		}
-	}
-	if _, err := s.buildPlan(&Deploy{Workload: "nope", Fragments: 1}); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	// CQL text takes precedence over the workload name and partitions
-	// into the requested fragment count.
+	// CQL text partitions into the requested fragment count.
 	p, err := s.buildPlan(&Deploy{CQL: "Select Avg(t.v) From Src[Range 1 sec]", Fragments: 3, Dataset: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +93,14 @@ func TestNetworkedFederationEndToEnd(t *testing.T) {
 	// tuples/sec per node against 800 of capacity.
 	ids := make([]stream.QueryID, 0, 3)
 	for _, d := range []struct {
-		workload  string
 		frags     int
 		placement []int
 	}{
-		{"AVG-all", 1, []int{0}},
-		{"AVG-all", 1, []int{1}},
-		{"AVG-all", 2, []int{0, 1}},
+		{1, []int{0}},
+		{1, []int{1}},
+		{2, []int{0, 1}},
 	} {
-		id, err := ctrl.Deploy(d.workload, d.frags, 1 /* uniform */, 120, 4, d.placement)
+		id, err := ctrl.Submit(avgAllCQL, d.frags, 1 /* uniform */, 120, 4, d.placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +140,7 @@ func TestDeployValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("AVG-all", 2, 0, 10, 1, []int{0}); err == nil {
+	if _, err := c.Submit(avgAllCQL, 2, 0, 10, 1, []int{0}); err == nil {
 		t.Error("placement length mismatch accepted")
 	}
 }
